@@ -34,6 +34,8 @@ use crate::components::Supercap;
 pub const FAULT_STREAM_TAG: u64 = 0xC10D_DA7A_5EED_F00D;
 
 /// SplitMix64 step: advances `state` and returns the next raw 64-bit value.
+/// Same core as `solarml_scenario::rng`, copied because `circuit` sits
+/// below `scenario` in the crate graph.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

@@ -15,12 +15,12 @@ use solarml_circuit::{CloudTransient, FaultPlan, OutageWindow, SupercapDegradati
 use solarml_platform::{
     CheckpointPolicy, DaySimConfig, DegradationLadder, IntermittentConfig, PhasePlan,
 };
+use solarml_scenario::rng::{pick_weighted, splitmix64, uniform};
 use solarml_scenario::Scenario;
 use solarml_sim::DtPolicy;
 use solarml_units::{Energy, Farads, Lux, Power, Ratio, Seconds, Volts};
 
 use crate::env::Environment;
-use crate::rng::{pick_weighted, splitmix64, uniform};
 
 /// Domain-separation tag for per-node blueprint draws: XORed into the
 /// node seed so blueprint sampling never replays another consumer of the

@@ -10,13 +10,15 @@
 //! only the nodes whose resolved configuration actually changed.
 //!
 //! Durability follows the checkpoint layer's rules exactly
-//! ([`crate::checkpoint`]): every entry is versioned, FNV-checksummed, and
-//! written via [`solarml_trace::write_atomic`]; every corrupt or foreign
-//! byte sequence decodes to a typed [`StoreError`] and the engine
-//! recomputes — never panics, never silently trusts. A `store.meta` file
-//! stamps the directory with the entry-format version so `open` can
-//! reject a foreign-version store up front with a typed error instead of
-//! treating every entry as corrupt.
+//! ([`crate::checkpoint`]): every entry `nd-<key:016x>.bin` is a sealed
+//! record ([`solarml_trace::bytes::seal`], magic `SLNDSTOR`) whose payload
+//! is the content key then the [`NodeDayOutcome`] codec, written via
+//! [`solarml_trace::write_atomic`]; every corrupt or foreign byte sequence
+//! decodes to a typed [`StoreError`] and the engine recomputes — never
+//! panics, never silently trusts. A `store.meta` file — the same envelope
+//! with an empty payload — stamps the directory with the entry-format
+//! version so `open` can reject a foreign-version store up front with a
+//! typed error instead of treating every entry as corrupt.
 //!
 //! Garbage collection is keep-LRU and size-bounded ([`StoreGc`]): entries
 //! touched this session rank by access order; untouched entries rank by
@@ -30,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::UNIX_EPOCH;
 
-use solarml_trace::{fnv1a64, write_atomic, ByteReader, ByteWriter};
+use solarml_trace::{seal, unseal, write_atomic, EnvelopeError};
 
 use crate::campaign::{run_campaign_with, CampaignConfig};
 use crate::population::PopulationSpec;
@@ -41,12 +43,9 @@ use crate::task::{Context, NodeDayOutcome, NodeDayTask, Task};
 pub const STORE_MAGIC: [u8; 8] = *b"SLNDSTOR";
 
 /// Entry-format version. Bump on any layout change; `open` then refuses
-/// the old directory with [`StoreError::UnsupportedVersion`] rather than
-/// misreading it.
+/// the old directory with [`EnvelopeError::UnsupportedVersion`] rather
+/// than misreading it.
 pub const STORE_VERSION: u32 = 1;
-
-/// Fixed prefix of every entry: magic + version + content key.
-const ENTRY_ENVELOPE_BYTES: usize = 8 + 4 + 8;
 
 /// Name of the per-directory version stamp.
 const META_FILE: &str = "store.meta";
@@ -68,38 +67,14 @@ pub enum StoreError {
         /// Path involved.
         path: String,
     },
-    /// The file does not start with [`STORE_MAGIC`] — not ours.
-    BadMagic {
+    /// A store file (entry or `store.meta`) failed the envelope or payload
+    /// checks: foreign magic, another format version, a failed checksum,
+    /// or a structure that does not decode.
+    Corrupt {
         /// Path involved.
         path: String,
-    },
-    /// The file (or the store's meta stamp) was written by a different
-    /// entry-format version.
-    UnsupportedVersion {
-        /// Path involved.
-        path: String,
-        /// Version found in the file.
-        found: u32,
-        /// Version this build reads and writes.
-        supported: u32,
-    },
-    /// The trailing FNV checksum does not match the content — bit rot,
-    /// torn write, or tampering.
-    ChecksumMismatch {
-        /// Path involved.
-        path: String,
-        /// Checksum the file claims.
-        expected: u64,
-        /// Checksum of the bytes actually present.
-        actual: u64,
-    },
-    /// The file passed magic/version/checksum but its structure does not
-    /// parse (truncated payload, trailing garbage).
-    Malformed {
-        /// Path involved.
-        path: String,
-        /// What went wrong.
-        detail: String,
+        /// Which check refused it.
+        reason: EnvelopeError,
     },
     /// A structurally valid entry whose embedded key is not the one its
     /// filename promises — a renamed or misplaced entry.
@@ -120,26 +95,14 @@ impl std::fmt::Display for StoreError {
             Self::NotADirectory { path } => {
                 write!(f, "store path {path} exists but is not a directory")
             }
-            Self::BadMagic { path } => {
-                write!(f, "{path} is not a node-day store file (bad magic)")
-            }
-            Self::UnsupportedVersion {
+            Self::Corrupt {
                 path,
-                found,
-                supported,
+                reason: EnvelopeError::UnsupportedVersion { found, supported },
             } => write!(
                 f,
                 "{path} uses store format v{found}, this build supports v{supported}"
             ),
-            Self::ChecksumMismatch {
-                path,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "{path} failed its checksum (claimed {expected:#018x}, computed {actual:#018x})"
-            ),
-            Self::Malformed { path, detail } => write!(f, "{path} is malformed: {detail}"),
+            Self::Corrupt { path, reason } => write!(f, "{path} is corrupt: {reason}"),
             Self::KeyMismatch {
                 path,
                 expected,
@@ -158,6 +121,13 @@ fn io_err(path: &Path, e: &std::io::Error) -> StoreError {
     StoreError::Io {
         path: path.display().to_string(),
         detail: e.to_string(),
+    }
+}
+
+fn corrupt(path: &Path, reason: EnvelopeError) -> StoreError {
+    StoreError::Corrupt {
+        path: path.display().to_string(),
+        reason,
     }
 }
 
@@ -240,16 +210,12 @@ impl NodeDayStore {
         let meta = dir.join(META_FILE);
         if meta.exists() {
             let bytes = std::fs::read(&meta).map_err(|e| io_err(&meta, &e))?;
-            validate_meta(&bytes, &meta)?;
+            unseal(&bytes, STORE_MAGIC, STORE_VERSION)
+                .and_then(|r| r.finish().map_err(EnvelopeError::from))
+                .map_err(|reason| corrupt(&meta, reason))?;
         } else {
-            let mut w = ByteWriter::new();
-            for &b in &STORE_MAGIC {
-                w.push_u8(b);
-            }
-            w.push_u32(STORE_VERSION);
-            let checksum = fnv1a64(w.as_slice());
-            w.push_u64(checksum);
-            write_atomic(&meta, w.as_slice()).map_err(|e| io_err(&meta, &e))?;
+            let stamp = seal(STORE_MAGIC, STORE_VERSION, |_| {});
+            write_atomic(&meta, &stamp).map_err(|e| io_err(&meta, &e))?;
         }
 
         let store = Self {
@@ -322,24 +288,34 @@ impl NodeDayStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(io_err(&path, &e)),
         };
-        decode_entry(&bytes, key, &path).map(Some)
+        let (found, outcome) = unseal(&bytes, STORE_MAGIC, STORE_VERSION)
+            .and_then(|mut r| {
+                let found = r.read_u64()?;
+                let outcome = NodeDayOutcome::decode_from(&mut r)?;
+                r.finish()?;
+                Ok((found, outcome))
+            })
+            .map_err(|reason| corrupt(&path, reason))?;
+        if found != key {
+            return Err(StoreError::KeyMismatch {
+                path: path.display().to_string(),
+                expected: key,
+                found,
+            });
+        }
+        Ok(Some(outcome))
     }
 
     /// Encodes and atomically writes the entry for `key`.
     pub fn persist(&self, key: u64, outcome: &NodeDayOutcome) -> Result<(), StoreError> {
         let path = self.entry_path(key);
         let had = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let mut w = ByteWriter::new();
-        for &b in &STORE_MAGIC {
-            w.push_u8(b);
-        }
-        w.push_u32(STORE_VERSION);
-        w.push_u64(key);
-        outcome.encode_into(&mut w);
-        let checksum = fnv1a64(w.as_slice());
-        w.push_u64(checksum);
-        let len = w.len() as u64;
-        write_atomic(&path, w.as_slice()).map_err(|e| io_err(&path, &e))?;
+        let bytes = seal(STORE_MAGIC, STORE_VERSION, |w| {
+            w.push_u64(key);
+            outcome.encode_into(w);
+        });
+        let len = bytes.len() as u64;
+        write_atomic(&path, &bytes).map_err(|e| io_err(&path, &e))?;
         self.bytes
             .fetch_add(len.saturating_sub(had), Ordering::Relaxed);
         Ok(())
@@ -490,107 +466,6 @@ fn parse_entry_name(name: &str) -> Option<u64> {
         return None;
     }
     u64::from_str_radix(hex, 16).ok()
-}
-
-/// Validates the `store.meta` stamp: magic, version, checksum.
-fn validate_meta(bytes: &[u8], path: &Path) -> Result<(), StoreError> {
-    let display = path.display().to_string();
-    if bytes.len() != 8 + 4 + 8 {
-        return Err(StoreError::Malformed {
-            path: display,
-            detail: format!("meta stamp is {} bytes, expected 20", bytes.len()),
-        });
-    }
-    if bytes[..8] != STORE_MAGIC {
-        return Err(StoreError::BadMagic { path: display });
-    }
-    let mut version_arr = [0u8; 4];
-    version_arr.copy_from_slice(&bytes[8..12]);
-    let version = u32::from_le_bytes(version_arr);
-    if version != STORE_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            path: display,
-            found: version,
-            supported: STORE_VERSION,
-        });
-    }
-    let mut sum_arr = [0u8; 8];
-    sum_arr.copy_from_slice(&bytes[12..20]);
-    let expected = u64::from_le_bytes(sum_arr);
-    let actual = fnv1a64(&bytes[..12]);
-    if expected != actual {
-        return Err(StoreError::ChecksumMismatch {
-            path: display,
-            expected,
-            actual,
-        });
-    }
-    Ok(())
-}
-
-/// Decodes one entry file, validating in trust order: envelope length,
-/// magic, version, checksum over everything before the trailer, then
-/// structure, embedded key, and absence of trailing bytes.
-fn decode_entry(
-    bytes: &[u8],
-    expected_key: u64,
-    path: &Path,
-) -> Result<NodeDayOutcome, StoreError> {
-    let display = path.display().to_string();
-    if bytes.len() < ENTRY_ENVELOPE_BYTES + 8 {
-        return Err(StoreError::Malformed {
-            path: display,
-            detail: format!("{} bytes is too short for an entry envelope", bytes.len()),
-        });
-    }
-    if bytes[..8] != STORE_MAGIC {
-        return Err(StoreError::BadMagic { path: display });
-    }
-    let mut version_arr = [0u8; 4];
-    version_arr.copy_from_slice(&bytes[8..12]);
-    let version = u32::from_le_bytes(version_arr);
-    if version != STORE_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            path: display,
-            found: version,
-            supported: STORE_VERSION,
-        });
-    }
-    let (content, trailer) = bytes.split_at(bytes.len() - 8);
-    let mut sum_arr = [0u8; 8];
-    sum_arr.copy_from_slice(trailer);
-    let expected_sum = u64::from_le_bytes(sum_arr);
-    let actual_sum = fnv1a64(content);
-    if expected_sum != actual_sum {
-        return Err(StoreError::ChecksumMismatch {
-            path: display,
-            expected: expected_sum,
-            actual: actual_sum,
-        });
-    }
-    let mut r = ByteReader::new(&content[12..]);
-    let embedded_key = r.read_u64().map_err(|e| StoreError::Malformed {
-        path: display.clone(),
-        detail: e.to_string(),
-    })?;
-    let outcome = NodeDayOutcome::decode_from(&mut r).map_err(|e| StoreError::Malformed {
-        path: display.clone(),
-        detail: e.to_string(),
-    })?;
-    if r.remaining() != 0 {
-        return Err(StoreError::Malformed {
-            path: display,
-            detail: format!("{} trailing bytes after payload", r.remaining()),
-        });
-    }
-    if embedded_key != expected_key {
-        return Err(StoreError::KeyMismatch {
-            path: display,
-            expected: expected_key,
-            found: embedded_key,
-        });
-    }
-    Ok(outcome)
 }
 
 /// A [`Context`] that answers `require_task` from a [`NodeDayStore`] —
@@ -755,18 +630,12 @@ mod tests {
         let dir = tmp_dir("foreign");
         drop(NodeDayStore::open(&dir).expect("open"));
         let meta = dir.join(META_FILE);
-        let mut w = ByteWriter::new();
-        for &b in &STORE_MAGIC {
-            w.push_u8(b);
-        }
-        w.push_u32(STORE_VERSION + 9);
-        let checksum = fnv1a64(w.as_slice());
-        w.push_u64(checksum);
-        std::fs::write(&meta, w.as_slice()).expect("write meta");
+        std::fs::write(&meta, seal(STORE_MAGIC, STORE_VERSION + 9, |_| {})).expect("write meta");
 
         match NodeDayStore::open(&dir) {
-            Err(StoreError::UnsupportedVersion {
-                found, supported, ..
+            Err(StoreError::Corrupt {
+                reason: EnvelopeError::UnsupportedVersion { found, supported },
+                ..
             }) => {
                 assert_eq!(found, STORE_VERSION + 9);
                 assert_eq!(supported, STORE_VERSION);

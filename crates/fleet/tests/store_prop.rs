@@ -1,9 +1,9 @@
 //! Property suites for the incremental node-day store: any cached-prefix /
 //! recomputed-suffix split folds byte-identically to an all-cold run, any
-//! mangled entry decodes to a typed error and recomputes transparently,
-//! and a one-`Dist` spec edit invalidates exactly the nodes whose resolved
-//! configuration it reaches — pinned by a mutation sweep over every
-//! [`PopulationSpec`] parameter.
+//! mangled entry or `store.meta` stamp decodes to a typed error (entries
+//! then recompute transparently), and a one-`Dist` spec edit invalidates
+//! exactly the nodes whose resolved configuration it reaches — pinned by a
+//! mutation sweep over every [`PopulationSpec`] parameter.
 //!
 //! Simulation-backed properties run a stripped population (zero
 //! interactions, clouds, outages) so each node-day costs microseconds;
@@ -21,6 +21,7 @@ use solarml_fleet::{
     NodeDayTask, PopulationSpec, StoreError,
 };
 use solarml_nas::parallel::derive_seed;
+use solarml_trace::EnvelopeError;
 
 /// A population whose day simulations are nearly free: no interactions,
 /// no transients — the store machinery is what's under test, not the
@@ -186,13 +187,7 @@ proptest! {
         std::fs::write(&path, &bytes).expect("rewrite");
 
         match store.load(key) {
-            Err(
-                StoreError::Malformed { .. }
-                | StoreError::BadMagic { .. }
-                | StoreError::ChecksumMismatch { .. }
-                | StoreError::UnsupportedVersion { .. }
-                | StoreError::KeyMismatch { .. },
-            ) => {}
+            Err(StoreError::Corrupt { .. } | StoreError::KeyMismatch { .. }) => {}
             other => prop_assert!(false, "expected a typed decode error, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -233,6 +228,61 @@ proptest! {
         // the targeted bucket.
         prop_assert_eq!(env_of(&edited, seed, nodes), envs);
     }
+}
+
+/// Every truncation and every single-byte flip of a valid `store.meta`
+/// makes `open` return a typed [`StoreError`], classified by the envelope
+/// field it hit — never a panic, never `Ok`. The stamp is 20 bytes, so the
+/// sweep is exhaustive rather than sampled.
+#[test]
+fn every_meta_mutation_is_a_typed_open_error() {
+    let dir = fresh_dir("meta");
+    drop(NodeDayStore::open(&dir).expect("open"));
+    let meta_path = dir.join("store.meta");
+    let meta = std::fs::read(&meta_path).expect("read meta");
+    assert_eq!(meta.len(), 20);
+
+    let reason_of = |bytes: &[u8]| -> EnvelopeError {
+        std::fs::write(&meta_path, bytes).expect("rewrite meta");
+        match NodeDayStore::open(&dir) {
+            Err(StoreError::Corrupt { reason, .. }) => reason,
+            other => panic!("expected a typed Corrupt error, got {other:?}"),
+        }
+    };
+    for cut in 0..meta.len() {
+        let reason = reason_of(&meta[..cut]);
+        if cut < 8 {
+            assert_eq!(reason, EnvelopeError::BadMagic, "{cut}-byte prefix");
+        } else {
+            assert!(
+                matches!(reason, EnvelopeError::Malformed { .. }),
+                "{cut}-byte prefix: {reason}"
+            );
+        }
+    }
+    for pos in 0..meta.len() {
+        for flip in 1..=255u8 {
+            let mut mangled = meta.clone();
+            mangled[pos] ^= flip;
+            let reason = reason_of(&mangled);
+            let expected = match pos {
+                0..=7 => matches!(reason, EnvelopeError::BadMagic),
+                8..=11 => matches!(reason, EnvelopeError::UnsupportedVersion { .. }),
+                _ => matches!(reason, EnvelopeError::ChecksumMismatch { .. }),
+            };
+            assert!(expected, "flip {flip:#04x} at byte {pos}: {reason}");
+        }
+    }
+    let mut extended = meta.clone();
+    extended.push(0);
+    assert!(matches!(
+        reason_of(&extended),
+        EnvelopeError::ChecksumMismatch { .. }
+    ));
+
+    std::fs::write(&meta_path, &meta).expect("restore meta");
+    assert!(NodeDayStore::open(&dir).is_ok(), "the pristine stamp opens");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite (b), recompute half: a campaign over a store whose entries

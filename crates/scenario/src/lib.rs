@@ -42,7 +42,7 @@ mod eval;
 mod lexer;
 mod parser;
 pub mod registry;
-mod rng;
+pub mod rng;
 mod sig;
 
 pub use ast::{render, Arg, Call, TimeOfDay, UnitSuffix, Value};

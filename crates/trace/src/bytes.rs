@@ -1,16 +1,31 @@
 //! Byte-stable binary codec and crash-safe persistence primitives.
 //!
-//! The fleet checkpoint format is built on two guarantees this module owns:
+//! Every durable fleet file (campaign checkpoints, node-day store entries
+//! and the store's `store.meta` stamp) is a *sealed record* built on three
+//! guarantees this module owns:
 //!
 //! * **Byte stability.** Every value is written little-endian with explicit
 //!   widths, floats travel as their IEEE-754 bit patterns (`to_bits`), and
 //!   variable-length payloads carry length prefixes. Encoding the same state
 //!   twice yields identical bytes on every platform, so checkpoint parity
 //!   can be checked with `cmp`.
+//! * **One envelope.** [`seal`] frames a payload as
+//!
+//!   ```text
+//!   offset  size  field
+//!   0       8     magic (names the format)
+//!   8       4     format version (u32 LE)
+//!   12      ..    payload
+//!   end-8   8     FNV-1a-64 of bytes [0, end-8)
+//!   ```
+//!
+//!   and [`unseal`] checks it in trust order (magic, length, version,
+//!   checksum) before handing back a [`ByteReader`] over the payload. Only
+//!   these two functions read or write the envelope fields.
 //! * **Fail-closed decoding.** [`ByteReader`] returns a typed
-//!   [`CodecError`] for truncated or malformed input — it never panics —
-//!   and [`fnv1a64`] gives callers a cheap content checksum so a flipped
-//!   bit anywhere in a snapshot is detected before any field is trusted.
+//!   [`CodecError`] for truncated or malformed input, and
+//!   [`ByteReader::finish`] rejects trailing bytes; nothing here panics on
+//!   foreign bytes. [`unseal`] lifts both into an [`EnvelopeError`].
 //!
 //! [`write_atomic`] is the single sanctioned way to persist these payloads:
 //! write to a temporary sibling, fsync, rename over the target. A crash at
@@ -123,6 +138,13 @@ pub enum CodecError {
         /// Byte offset of the string payload.
         offset: usize,
     },
+    /// [`ByteReader::finish`] found bytes after the decoded payload.
+    Trailing {
+        /// Byte offset where the unread bytes start.
+        offset: usize,
+        /// How many bytes were left unread.
+        remaining: usize,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -145,11 +167,126 @@ impl std::fmt::Display for CodecError {
                 "bad length prefix at byte {offset}: declares {declared} bytes, {remaining} remain"
             ),
             Self::BadUtf8 { offset } => write!(f, "invalid UTF-8 in string at byte {offset}"),
+            Self::Trailing { offset, remaining } => {
+                write!(
+                    f,
+                    "{remaining} trailing bytes after payload at byte {offset}"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for CodecError {}
+
+/// Why [`unseal`] (or the payload decode after it) refused a record. The
+/// variants follow the trust order: each is reported only once every check
+/// before it has passed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EnvelopeError {
+    /// Fewer than 8 bytes, or a magic other than the expected one: not a
+    /// record of this format at all.
+    BadMagic,
+    /// The right magic but another format version. Reported before the
+    /// checksum is checked, so a newer build's file names its version.
+    UnsupportedVersion {
+        /// Version the record declares.
+        found: u32,
+        /// Version this build reads.
+        supported: u32,
+    },
+    /// The trailing FNV-1a-64 does not match the bytes before it: a torn
+    /// write, a flipped bit, or tampering.
+    ChecksumMismatch {
+        /// Checksum the record carries.
+        expected: u64,
+        /// Checksum the bytes actually hash to.
+        actual: u64,
+    },
+    /// The right magic but shorter than the envelope, or a payload that
+    /// fails structural decoding despite a clean checksum.
+    Malformed {
+        /// What the decoder objected to.
+        detail: String,
+    },
+}
+
+impl std::fmt::Display for EnvelopeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::BadMagic => write!(f, "bad magic"),
+            Self::UnsupportedVersion { found, supported } => {
+                write!(f, "format v{found}, this build reads v{supported}")
+            }
+            Self::ChecksumMismatch { expected, actual } => {
+                write!(f, "checksum {actual:#018x} != recorded {expected:#018x}")
+            }
+            Self::Malformed { detail } => write!(f, "malformed: {detail}"),
+        }
+    }
+}
+
+impl std::error::Error for EnvelopeError {}
+
+impl From<CodecError> for EnvelopeError {
+    fn from(e: CodecError) -> Self {
+        Self::Malformed {
+            detail: e.to_string(),
+        }
+    }
+}
+
+/// Magic + version + trailing checksum: the smallest sealed record.
+const ENVELOPE_BYTES: usize = 8 + 4 + 8;
+
+/// Frames the bytes `payload` writes as a sealed record: `magic`,
+/// `version` (u32 LE), the payload, then the FNV-1a-64 of everything
+/// before it. Pure: the same payload seals to the same bytes.
+pub fn seal(magic: [u8; 8], version: u32, payload: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.buf.extend_from_slice(&magic);
+    w.push_u32(version);
+    payload(&mut w);
+    let checksum = fnv1a64(&w.buf);
+    w.push_u64(checksum);
+    w.buf
+}
+
+/// Opens a record written by [`seal`], checking in trust order: magic,
+/// envelope length, version, checksum. Returns a reader over the payload
+/// (offsets in its errors are file offsets); the caller decodes the
+/// structure and ends with [`ByteReader::finish`].
+pub fn unseal(bytes: &[u8], magic: [u8; 8], version: u32) -> Result<ByteReader<'_>, EnvelopeError> {
+    if bytes.get(..8) != Some(&magic[..]) {
+        return Err(EnvelopeError::BadMagic);
+    }
+    if bytes.len() < ENVELOPE_BYTES {
+        return Err(EnvelopeError::Malformed {
+            detail: format!(
+                "{} bytes is shorter than the {ENVELOPE_BYTES}-byte envelope",
+                bytes.len()
+            ),
+        });
+    }
+    let mut header = ByteReader { buf: bytes, pos: 8 };
+    let found = header.read_u32()?;
+    if found != version {
+        return Err(EnvelopeError::UnsupportedVersion {
+            found,
+            supported: version,
+        });
+    }
+    let (content, trailer) = bytes.split_at(bytes.len() - 8);
+    let expected = ByteReader::new(trailer).read_u64()?;
+    let actual = fnv1a64(content);
+    if actual != expected {
+        return Err(EnvelopeError::ChecksumMismatch { expected, actual });
+    }
+    Ok(ByteReader {
+        buf: content,
+        pos: 12,
+    })
+}
 
 /// Little-endian append-only encoder. The write methods are infallible —
 /// the buffer grows — so encoding never produces a partial payload.
@@ -210,16 +347,6 @@ impl ByteWriter {
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -321,6 +448,17 @@ impl<'a> ByteReader<'a> {
         let payload_at = self.pos + 8;
         let raw = self.read_bytes()?;
         std::str::from_utf8(raw).map_err(|_| CodecError::BadUtf8 { offset: payload_at })
+    }
+
+    /// Ends the decode: [`CodecError::Trailing`] if any bytes are unread.
+    pub fn finish(self) -> Result<(), CodecError> {
+        match self.remaining() {
+            0 => Ok(()),
+            remaining => Err(CodecError::Trailing {
+                offset: self.pos,
+                remaining,
+            }),
+        }
     }
 }
 
@@ -459,6 +597,107 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.read_str(), Err(CodecError::BadUtf8 { offset: 8 }));
+    }
+
+    const MAGIC: [u8; 8] = *b"TESTSEAL";
+
+    fn sealed() -> Vec<u8> {
+        seal(MAGIC, 3, |w| {
+            w.push_u64(0x0123_4567_89AB_CDEF);
+            w.push_str("payload");
+        })
+    }
+
+    #[test]
+    fn seal_round_trips_through_unseal() {
+        let bytes = sealed();
+        assert_eq!(&bytes[..8], b"TESTSEAL");
+        assert_eq!(&bytes[8..12], &3u32.to_le_bytes());
+        let (content, trailer) = bytes.split_at(bytes.len() - 8);
+        assert_eq!(trailer, &fnv1a64(content).to_le_bytes());
+
+        let mut r = unseal(&bytes, MAGIC, 3).unwrap();
+        assert_eq!(r.position(), 12, "reader offsets are file offsets");
+        assert_eq!(r.read_u64().unwrap(), 0x0123_4567_89AB_CDEF);
+        assert_eq!(r.read_str().unwrap(), "payload");
+        assert_eq!(r.finish(), Ok(()));
+
+        let empty = seal(MAGIC, 3, |_| {});
+        assert_eq!(empty.len(), ENVELOPE_BYTES);
+        assert_eq!(unseal(&empty, MAGIC, 3).unwrap().finish(), Ok(()));
+    }
+
+    #[test]
+    fn short_or_foreign_input_is_bad_magic_and_short_ours_is_malformed() {
+        let bytes = sealed();
+        for cut in 0..8 {
+            assert_eq!(
+                unseal(&bytes[..cut], MAGIC, 3).err(),
+                Some(EnvelopeError::BadMagic),
+                "{cut} bytes"
+            );
+        }
+        assert_eq!(
+            unseal(&bytes, *b"OTHERFMT", 3).err(),
+            Some(EnvelopeError::BadMagic)
+        );
+        for cut in 8..ENVELOPE_BYTES {
+            assert!(
+                matches!(
+                    unseal(&bytes[..cut], MAGIC, 3),
+                    Err(EnvelopeError::Malformed { .. })
+                ),
+                "{cut} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn version_is_checked_before_the_checksum() {
+        let mut bytes = sealed();
+        bytes[8] = 9; // the checksum no longer matches either
+        assert_eq!(
+            unseal(&bytes, MAGIC, 3).err(),
+            Some(EnvelopeError::UnsupportedVersion {
+                found: 9,
+                supported: 3
+            })
+        );
+    }
+
+    #[test]
+    fn checksum_is_checked_before_the_payload_is_handed_out() {
+        let bytes = sealed();
+        for pos in 12..bytes.len() {
+            let mut mangled = bytes.clone();
+            mangled[pos] ^= 0x01;
+            assert!(
+                matches!(
+                    unseal(&mangled, MAGIC, 3),
+                    Err(EnvelopeError::ChecksumMismatch { .. })
+                ),
+                "flip at {pos}"
+            );
+        }
+    }
+
+    #[test]
+    fn finish_rejects_trailing_bytes() {
+        let bytes = sealed();
+        let mut r = unseal(&bytes, MAGIC, 3).unwrap();
+        r.read_u64().unwrap();
+        assert_eq!(
+            r.finish(),
+            Err(CodecError::Trailing {
+                offset: 20,
+                remaining: 15
+            })
+        );
+        let err = EnvelopeError::from(CodecError::Trailing {
+            offset: 20,
+            remaining: 15,
+        });
+        assert!(matches!(err, EnvelopeError::Malformed { .. }), "{err}");
     }
 
     #[test]

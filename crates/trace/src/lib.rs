@@ -34,7 +34,10 @@ mod stats;
 mod trace;
 
 pub use analysis::{detect_phases, downsample, energy_between, Phase};
-pub use bytes::{fnv1a64, write_atomic, ByteReader, ByteWriter, CodecError, FnvHasher};
+pub use bytes::{
+    fnv1a64, seal, unseal, write_atomic, ByteReader, ByteWriter, CodecError, EnvelopeError,
+    FnvHasher,
+};
 pub use json::JsonObject;
 pub use stats::{
     error_cdf, mean, mean_absolute_percent_error, median, percentile, r_squared, rmse, std_dev,

@@ -25,13 +25,12 @@ use solarml::fleet::{
     resume_campaign, run_campaign, run_campaign_cached, run_campaign_durable, CampaignCheckpoints,
     CampaignConfig, CampaignError, FleetReport, NodeDayStore, NodeDayTask, Task, FLEET_SEED_CYCLE,
 };
-use solarml::nas::parallel::{available_workers, derive_seed};
 use solarml::nn::layers::Conv2d;
 use solarml::nn::reference;
 use solarml::nn::{Padding, Tensor, TrainConfig};
 use solarml::platform::{simulate_day_with, DayReport, DaySimConfig};
 use solarml::scenario::{registry, Scenario};
-use solarml::sim::DtPolicy;
+use solarml::sim::{pool::available_workers, seed::derive_seed, DtPolicy};
 use solarml::units::Seconds;
 use solarml::{run_enas, EnasConfig, Energy, TaskContext};
 

@@ -23,6 +23,7 @@
 //! hysteresis band cannot re-emit events.
 
 use serde::{Deserialize, Serialize};
+use solarml_sim::seed::{splitmix64, uniform};
 use solarml_units::{Farads, Ratio, Seconds, Volts};
 
 use crate::components::Supercap;
@@ -32,23 +33,6 @@ use crate::components::Supercap;
 /// generators never replays the same draw sequence here. Registered with
 /// the seed-discipline lint.
 pub const FAULT_STREAM_TAG: u64 = 0xC10D_DA7A_5EED_F00D;
-
-/// SplitMix64 step: advances `state` and returns the next raw 64-bit value.
-/// Same core as `solarml_scenario::rng`, copied because `circuit` sits
-/// below `scenario` in the crate graph.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform draw in `[lo, hi)` from the SplitMix64 stream.
-fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
-    let unit = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
-    lo + unit * (hi - lo)
-}
 
 /// A passing cloud (or hand, or switched-off lamp): illuminance is
 /// attenuated by up to `depth` over a trapezoidal envelope — linear ramp

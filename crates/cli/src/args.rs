@@ -153,13 +153,6 @@ impl Options {
                 "--store-max-entries/--store-max-bytes require --store-dir <dir>".to_string(),
             );
         }
-        if opts.store_dir.is_some() && opts.checkpoint_dir.is_some() {
-            return Err(
-                "--store-dir and --checkpoint-dir are mutually exclusive (the store already \
-                 makes reruns cheap; checkpoints protect a single long run)"
-                    .to_string(),
-            );
-        }
         if opts.value.is_some() && opts.param.is_none() {
             return Err("--value requires --param <name>".to_string());
         }
@@ -261,6 +254,13 @@ mod tests {
         assert_eq!(opts.checkpoint_dir.as_deref(), Some("ckpts"));
         assert_eq!(opts.checkpoint_every, Some(64));
         assert!(opts.resume);
+
+        // A store and checkpoints compose: the durable campaign replays
+        // node-days from the store.
+        let opts = parse(&["--store-dir", "s", "--checkpoint-dir", "c", "--resume"])
+            .expect("store with checkpoints");
+        assert_eq!(opts.store_dir.as_deref(), Some("s"));
+        assert_eq!(opts.checkpoint_dir.as_deref(), Some("c"));
     }
 
     #[test]
@@ -313,9 +313,6 @@ mod tests {
         assert!(err.contains("--store-dir"), "{err}");
         let err = parse(&["--store-max-bytes", "9"]).expect_err("needs a dir");
         assert!(err.contains("--store-dir"), "{err}");
-        let err = parse(&["--store-dir", "s", "--checkpoint-dir", "c"])
-            .expect_err("store and checkpoints are exclusive");
-        assert!(err.contains("mutually exclusive"), "{err}");
         let err = parse(&["--value", "1.0"]).expect_err("value needs param");
         assert!(err.contains("--param"), "{err}");
         let err = parse(&["--values", "1,2"]).expect_err("values need param");

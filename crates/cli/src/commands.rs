@@ -2,8 +2,9 @@
 
 use solarml::dsp::{AudioFrontendParams, GestureSensingParams, Resolution};
 use solarml::fleet::{
-    resume_campaign_verbose, run_campaign, run_campaign_cached, run_campaign_durable, run_sweep,
-    CacheStats, CampaignCheckpoints, CampaignConfig, NodeDayStore, StoreGc, SweepVariant,
+    cached_node, resume_campaign_verbose, run_campaign_durable_with, run_campaign_with, run_sweep,
+    simulate_node, CacheStats, CampaignCheckpoints, CampaignConfig, NodeDayStore, PopulationSpec,
+    StoreGc, SweepVariant,
 };
 use solarml::mcu::McuPowerModel;
 use solarml::nas::{run_enas, EnasConfig, TaskContext};
@@ -192,7 +193,7 @@ pub fn search(opts: &Options) -> Result<(), String> {
     println!(
         "running eNAS on {task} (λ={lambda}, {} settings, {} worker threads)...",
         if opts.full { "paper" } else { "quick" },
-        solarml::nas::parallel::effective_workers(config.workers)
+        solarml::sim::pool::effective_workers(config.workers)
     );
     let outcome = run_enas(&ctx, &config);
     println!("evaluated {} candidates", outcome.history.len());
@@ -352,16 +353,19 @@ pub fn fleet(opts: &Options) -> Result<(), String> {
         }
         ckpt
     });
+    // One node function for every campaign shape.
+    let sim = |spec: &PopulationSpec, node: usize, seed: u64| match &store {
+        Some(store) => cached_node(store)(spec, node, seed),
+        None => simulate_node(spec, node, seed),
+    };
     let start = std::time::Instant::now();
-    let report = match (&store, &checkpoints, opts.resume) {
-        (Some(store), _, _) => run_campaign_cached(&cfg, store),
-        (None, None, _) => run_campaign(&cfg),
-        (None, Some(ckpt), false) => {
-            run_campaign_durable(&cfg, ckpt).map_err(|e| format!("fleet campaign: {e}"))?
-        }
-        (None, Some(ckpt), true) => {
-            let (report, resumed) =
-                resume_campaign_verbose(&cfg, ckpt).map_err(|e| format!("fleet resume: {e}"))?;
+    let report = match (&checkpoints, opts.resume) {
+        (None, _) => run_campaign_with(&cfg, &sim),
+        (Some(ckpt), false) => run_campaign_durable_with(&cfg, ckpt, &sim)
+            .map_err(|e| format!("fleet campaign: {e}"))?,
+        (Some(ckpt), true) => {
+            let (report, resumed) = resume_campaign_verbose(&cfg, ckpt, &sim)
+                .map_err(|e| format!("fleet resume: {e}"))?;
             println!(
                 "resumed from {} node-days checkpointed in {}",
                 resumed.snapshot.nodes_done,

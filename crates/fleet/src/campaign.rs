@@ -2,15 +2,14 @@
 //! worker threads, folded through an O(log n) merge tree, checkpointed to
 //! disk, and resumable bit-exactly after a crash.
 //!
-//! Each node's seed derives from the campaign seed with the same
-//! SplitMix64-finalizer splitting the NAS engine uses
-//! ([`solarml_nas::parallel::derive_seed`]) under a fleet-reserved cycle
-//! tag, so node streams never collide with NAS training streams even when
-//! both run from the same base seed. Nothing about a node exists before
-//! its chunk is simulated — the whole fleet is derivable from
-//! `(PopulationSpec, seed, index)` — so a million-node campaign holds
-//! one *wave* of chunk ranges plus the [`MergeTree`]'s ~⌈log₂ n⌉ partial
-//! aggregates, never an O(n) materialization.
+//! Each node's seed derives from the campaign seed with the workspace's
+//! one stream splitter ([`derive_seed`], shared with the NAS engine) under
+//! a fleet-reserved cycle tag, so node streams never collide with NAS
+//! training streams even when both run from the same base seed. Nothing
+//! about a node exists before its chunk is simulated — the whole fleet is
+//! derivable from `(PopulationSpec, seed, index)` — so a million-node
+//! campaign holds one *wave* of chunk ranges plus the [`MergeTree`]'s
+//! ~⌈log₂ n⌉ partial aggregates, never an O(n) materialization.
 //!
 //! Three robustness layers ride on the exact associativity of
 //! [`FleetAggregate::merge`]:
@@ -32,13 +31,14 @@
 //! * **Quarantine.** Each node simulates under `catch_unwind`: a panic
 //!   inside [`solarml_platform::simulate_faulted_day`] becomes a [`FailedNode`] entry in
 //!   the report's `failed_nodes` section (message extracted with the same
-//!   [`panic_message`] reduction as [`solarml_nas::parallel::EvalPanic`])
+//!   [`panic_message`] reduction as [`solarml_sim::pool::EvalPanic`])
 //!   and the campaign keeps going instead of dying at node 817,442.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use solarml_nas::parallel::{derive_seed, effective_workers, panic_message, parallel_map};
+use solarml_sim::pool::{effective_workers, panic_message, parallel_map};
+use solarml_sim::seed::derive_seed;
 
 use crate::aggregate::{FleetAggregate, MergeTree};
 use crate::checkpoint::{
@@ -182,7 +182,7 @@ pub struct FailedNode {
     /// The node's derived seed — enough to replay the failure in
     /// isolation with [`simulate_node`].
     pub seed: u64,
-    /// The panic message, reduced like [`solarml_nas::parallel::EvalPanic`].
+    /// The panic message, reduced like [`solarml_sim::pool::EvalPanic`].
     pub message: String,
 }
 
@@ -431,18 +431,21 @@ pub fn resume_campaign_with<F>(
 where
     F: Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync,
 {
-    let Resumed { snapshot, .. } = load_latest(&ckpt.dir, campaign_fingerprint(cfg))?;
-    run_streaming(cfg, sim, Some(ckpt), snapshot)
+    resume_campaign_verbose(cfg, ckpt, sim).map(|(report, _)| report)
 }
 
-/// [`resume_campaign`] that also reports which corrupt snapshots were
+/// [`resume_campaign_with`] that also reports which corrupt snapshots were
 /// skipped on the way to the resume point (for operator-facing output).
-pub fn resume_campaign_verbose(
+pub fn resume_campaign_verbose<F>(
     cfg: &CampaignConfig,
     ckpt: &CampaignCheckpoints,
-) -> Result<(FleetReport, Resumed), CampaignError> {
+    sim: &F,
+) -> Result<(FleetReport, Resumed), CampaignError>
+where
+    F: Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync,
+{
     let resumed = load_latest(&ckpt.dir, campaign_fingerprint(cfg))?;
-    let report = run_streaming(cfg, &simulate_node, Some(ckpt), resumed.snapshot.clone())?;
+    let report = run_streaming(cfg, sim, Some(ckpt), resumed.snapshot.clone())?;
     Ok((report, resumed))
 }
 

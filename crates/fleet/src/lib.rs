@@ -64,8 +64,8 @@ pub use env::Environment;
 pub use population::{Dist, NodeBlueprint, PopulationSpec};
 pub use report::{FleetReport, FLEET_REPORT_SCHEMA};
 pub use store::{
-    run_campaign_cached, run_sweep, CacheStats, IncrementalContext, NodeDayStore, StoreError,
-    StoreGc, SweepVariant, SweepVariantReport, STORE_MAGIC, STORE_VERSION,
+    cached_node, run_campaign_cached, run_sweep, CacheStats, IncrementalContext, NodeDayStore,
+    StoreError, StoreGc, SweepVariant, SweepVariantReport, STORE_MAGIC, STORE_VERSION,
 };
 pub use task::{
     Context, NodeDayOutcome, NodeDayTask, NonIncrementalContext, Task, SIM_FINGERPRINT,

@@ -15,8 +15,8 @@ use solarml_circuit::{CloudTransient, FaultPlan, OutageWindow, SupercapDegradati
 use solarml_platform::{
     CheckpointPolicy, DaySimConfig, DegradationLadder, IntermittentConfig, PhasePlan,
 };
-use solarml_scenario::rng::{pick_weighted, splitmix64, uniform};
 use solarml_scenario::Scenario;
+use solarml_sim::seed::{pick_weighted, splitmix64, uniform};
 use solarml_sim::DtPolicy;
 use solarml_units::{Energy, Farads, Lux, Power, Ratio, Seconds, Volts};
 
@@ -54,13 +54,15 @@ pub enum Dist {
 impl Dist {
     /// Draws one sample, always consuming exactly one stream advance.
     pub fn sample(&self, state: &mut u64) -> f64 {
-        let unit = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
         match *self {
-            Dist::Constant(v) => v,
-            Dist::Uniform { lo, hi } => lo + unit * (hi - lo),
+            Dist::Constant(v) => {
+                splitmix64(state);
+                v
+            }
+            Dist::Uniform { lo, hi } => uniform(state, lo, hi),
             Dist::LogUniform { lo, hi } => {
                 debug_assert!(lo > 0.0 && hi > lo, "log-uniform needs 0 < lo < hi");
-                (lo.ln() + unit * (hi.ln() - lo.ln())).exp()
+                uniform(state, lo.ln(), hi.ln()).exp()
             }
         }
     }

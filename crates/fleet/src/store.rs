@@ -34,7 +34,7 @@ use std::time::UNIX_EPOCH;
 
 use solarml_trace::{seal, unseal, write_atomic, EnvelopeError};
 
-use crate::campaign::{run_campaign_with, CampaignConfig};
+use crate::campaign::{run_campaign_with, CampaignConfig, NodeSummary};
 use crate::population::PopulationSpec;
 use crate::report::FleetReport;
 use crate::task::{Context, NodeDayOutcome, NodeDayTask, Task};
@@ -316,8 +316,11 @@ impl NodeDayStore {
         });
         let len = bytes.len() as u64;
         write_atomic(&path, &bytes).map_err(|e| io_err(&path, &e))?;
-        self.bytes
-            .fetch_add(len.saturating_sub(had), Ordering::Relaxed);
+        // Signed difference: overwriting a longer (corrupt) entry shrinks it.
+        let resize = |b: u64| Some(b.saturating_add(len).saturating_sub(had));
+        let _ = self
+            .bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, resize);
         Ok(())
     }
 
@@ -494,11 +497,18 @@ impl Context<NodeDayTask> for IncrementalContext<'_> {
 /// replayed outcomes are bit-equal to recomputed ones, and the merge tree
 /// is exactly associative.
 pub fn run_campaign_cached(cfg: &CampaignConfig, store: &NodeDayStore) -> FleetReport {
-    run_campaign_with(cfg, &|spec: &PopulationSpec, node: usize, seed: u64| {
+    run_campaign_with(cfg, &cached_node(store))
+}
+
+/// [`crate::simulate_node`] with the node-day required through `store`;
+/// any `*_with` entry point (durable and resumed runs too) accepts it.
+pub fn cached_node(
+    store: &NodeDayStore,
+) -> impl Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync + '_ {
+    move |spec, node, seed| {
         let task = NodeDayTask::resolve(spec, node, seed);
-        let outcome = IncrementalContext::new(store).require_task(&task);
-        task.summary(&outcome)
-    })
+        task.summary(&IncrementalContext::new(store).require_task(&task))
+    }
 }
 
 /// One spec variant of a sweep: a display name plus the population to run.
@@ -626,6 +636,37 @@ mod tests {
     }
 
     #[test]
+    fn byte_gauge_shrinks_when_a_longer_corrupt_entry_is_overwritten() {
+        let dir = tmp_dir("gauge");
+        let cfg = smoke_cfg(4);
+        let on_disk = |store: &NodeDayStore| -> u64 {
+            let entries = store.list_entries().expect("list");
+            entries.iter().map(|e| e.len).sum()
+        };
+        let store = NodeDayStore::open(&dir).expect("open");
+        run_campaign_cached(&cfg, &store);
+        assert_eq!(store.stats().bytes, on_disk(&store));
+
+        // Grow one entry by 500 trailing bytes: corrupt and longer.
+        let entry = store.list_entries().expect("list").remove(0);
+        let path = dir.join(&entry.name);
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes.extend_from_slice(&[0xA5; 500]);
+        std::fs::write(&path, &bytes).expect("write");
+
+        let store = NodeDayStore::open(&dir).expect("reopen");
+        assert_eq!(store.stats().bytes, on_disk(&store));
+        run_campaign_cached(&cfg, &store);
+        assert_eq!(store.stats().corrupt, 1);
+        assert_eq!(
+            store.stats().bytes,
+            on_disk(&store),
+            "the gauge follows the rewrite down to the on-disk size"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn foreign_version_store_is_a_typed_open_error() {
         let dir = tmp_dir("foreign");
         drop(NodeDayStore::open(&dir).expect("open"));
@@ -673,7 +714,7 @@ mod tests {
         let keys: Vec<u64> = [1usize, 4, 6]
             .iter()
             .map(|&node| {
-                let seed = solarml_nas::parallel::derive_seed(
+                let seed = solarml_sim::seed::derive_seed(
                     cfg.seed,
                     crate::campaign::FLEET_SEED_CYCLE,
                     node,

@@ -342,7 +342,7 @@ fn hash_config(h: &mut FnvHasher, cfg: &IntermittentConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use solarml_nas::parallel::derive_seed;
+    use solarml_sim::seed::derive_seed;
 
     use crate::campaign::FLEET_SEED_CYCLE;
 

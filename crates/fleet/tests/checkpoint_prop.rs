@@ -5,23 +5,23 @@
 //! The vendored proptest stand-in supplies range strategies and
 //! `collection::vec` but no combinators, so compound inputs are generated
 //! as vectors of `u64` seeds and expanded into [`NodeSummary`] /
-//! [`FailedNode`] values by deterministic SplitMix-style helpers — the
+//! [`FailedNode`] values by lanes of a SplitMix64 stream — the
 //! same coverage as a composed strategy, each case still fully described
 //! by its primitive inputs.
 
 use proptest::prelude::*;
 use solarml_fleet::campaign::{FailedNode, NodeSummary};
 use solarml_fleet::{CampaignSnapshot, FleetAggregate, MergeTree};
+use solarml_sim::seed::splitmix64;
 
-/// SplitMix64 finalizer: expands one generated seed into as many
-/// independent field lanes as a summary needs.
+/// Output `lane` of the SplitMix64 stream seeded by one generated seed:
+/// expands that seed into as many independent field lanes as a summary
+/// needs.
 fn mix(seed: u64, lane: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(lane.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let mut state = seed;
+    std::iter::repeat_with(|| splitmix64(&mut state))
+        .nth(lane as usize)
+        .unwrap_or_default()
 }
 
 /// Uniform `[0, 1)` from a mixed lane, 53 mantissa bits.

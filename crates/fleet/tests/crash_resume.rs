@@ -16,9 +16,10 @@
 use std::path::{Path, PathBuf};
 
 use solarml_fleet::{
-    campaign_fingerprint, load_latest, resume_campaign, resume_campaign_verbose, run_campaign,
-    run_campaign_durable, CampaignCheckpoints, CampaignConfig, CampaignError, CheckpointError,
-    FleetReport,
+    cached_node, campaign_fingerprint, load_latest, resume_campaign, resume_campaign_verbose,
+    run_campaign, run_campaign_cached, run_campaign_durable, run_campaign_durable_with,
+    simulate_node, CampaignCheckpoints, CampaignConfig, CampaignError, CheckpointError,
+    FleetReport, NodeDayStore,
 };
 
 const SEED: u64 = 0xC4A5_4ED0;
@@ -117,8 +118,8 @@ fn corrupt_newest_snapshot_is_skipped_and_its_range_recomputed() {
     bytes[mid] ^= 0x40;
     std::fs::write(&newest, &bytes).expect("re-write corrupted snapshot");
 
-    let (report, resumed) =
-        resume_campaign_verbose(&cfg, &checkpoints(&dir)).expect("resume past corruption");
+    let (report, resumed) = resume_campaign_verbose(&cfg, &checkpoints(&dir), &simulate_node)
+        .expect("resume past corruption");
     assert_eq!(resumed.skipped.len(), 1, "exactly the mangled file skipped");
     assert!(
         resumed.skipped[0].contains("corrupt") || resumed.skipped[0].contains("malformed"),
@@ -130,6 +131,44 @@ fn corrupt_newest_snapshot_is_skipped_and_its_range_recomputed() {
         "resume fell back to an older snapshot"
     );
     assert_eq!(report.to_json(), baseline_json);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn abort_and_resume_through_a_store_is_byte_identical() {
+    let cfg = sweep_cfg();
+    let baseline_json = run_campaign(&cfg).to_json();
+    let dir = scratch_dir("store-resume");
+    let (ckpt_dir, store_dir) = (dir.join("ckpt"), dir.join("store"));
+    let kill = (N / 2) as u64;
+
+    let store = NodeDayStore::open(&store_dir).expect("open store");
+    let mut ckpt = checkpoints(&ckpt_dir);
+    ckpt.abort_after_nodes = Some(kill);
+    match run_campaign_durable_with(&cfg, &ckpt, &cached_node(&store)) {
+        Err(CampaignError::Aborted { nodes_done }) => assert_eq!(nodes_done, kill),
+        other => panic!("expected Aborted at {kill}, got {other:?}"),
+    }
+    // Lose the newest snapshot, as if the kill landed between the store
+    // persists and the snapshot write: the resume refolds node-days the
+    // store already holds.
+    let newest = snapshot_files(&ckpt_dir).pop().expect("a snapshot");
+    std::fs::remove_file(&newest).expect("drop newest snapshot");
+
+    let store = NodeDayStore::open(&store_dir).expect("reopen store");
+    let (report, resumed) =
+        resume_campaign_verbose(&cfg, &checkpoints(&ckpt_dir), &cached_node(&store))
+            .expect("resume through the store");
+    assert!(resumed.snapshot.nodes_done < kill);
+    assert_eq!(report.to_json(), baseline_json);
+    let stats = store.stats();
+    assert_eq!(stats.hits, kill - resumed.snapshot.nodes_done, "{stats:?}");
+    assert_eq!(stats.misses, N as u64 - kill, "{stats:?}");
+
+    // Every node-day is now stored: a cached rerun is all hits.
+    store.reset_stats();
+    assert_eq!(run_campaign_cached(&cfg, &store).to_json(), baseline_json);
+    assert_eq!(store.stats().misses, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -13,7 +13,7 @@
 use solarml_fleet::{
     run_campaign, CampaignConfig, FleetAggregate, NodeSummary, PopulationSpec, FLEET_SEED_CYCLE,
 };
-use solarml_nas::parallel::derive_seed;
+use solarml_sim::seed::derive_seed;
 
 const SEED: u64 = 0xF1EE_7CA4;
 

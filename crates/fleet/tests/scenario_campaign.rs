@@ -21,8 +21,8 @@ use solarml_fleet::{
     CampaignConfig, CampaignError, Dist, NodeDayStore, NodeDayTask, PopulationSpec,
     FLEET_SEED_CYCLE,
 };
-use solarml_nas::parallel::derive_seed;
 use solarml_scenario::{registry, Scenario};
+use solarml_sim::seed::derive_seed;
 
 /// Node count for the golden campaigns: small enough that all 14 shipped
 /// scenarios stay fast in debug builds, large enough to mix buckets.

@@ -20,7 +20,7 @@ use solarml_fleet::{
     run_campaign, run_campaign_cached, CampaignConfig, Dist, NodeDayOutcome, NodeDayStore,
     NodeDayTask, PopulationSpec, StoreError,
 };
-use solarml_nas::parallel::derive_seed;
+use solarml_sim::seed::{derive_seed, splitmix64};
 use solarml_trace::EnvelopeError;
 
 /// A population whose day simulations are nearly free: no interactions,
@@ -77,12 +77,10 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// included), derived from one generated seed — no simulation needed.
 fn outcome_from(seed: u64) -> NodeDayOutcome {
     fn mix(seed: u64, lane: u64) -> u64 {
-        let mut z = seed
-            .wrapping_add(lane.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let mut state = seed;
+        std::iter::repeat_with(|| splitmix64(&mut state))
+            .nth(lane as usize)
+            .unwrap_or_default()
     }
     fn unit(bits: u64) -> f64 {
         (bits >> 11) as f64 / (1u64 << 53) as f64

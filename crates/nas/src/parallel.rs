@@ -15,14 +15,17 @@
 //!    before the parallel fan-out — duplicates inside one batch are deduped
 //!    to the first occurrence — so memoization cannot introduce
 //!    worker-count-dependent results.
-//! 3. **No external dependencies.** The pool is `std::thread::scope` plus
-//!    an atomic work index; the workspace builds offline.
+//! 3. **One shared pool.** Seeds come from [`solarml_sim::seed`] and the
+//!    fan-out from [`solarml_sim::pool`], the same helpers fleet campaigns
+//!    use; they are re-exported here for existing callers.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
+
+pub use solarml_sim::pool::{available_workers, parallel_map};
+use solarml_sim::pool::{effective_workers, try_parallel_map, EvalPanic};
+pub use solarml_sim::seed::derive_seed;
 
 use crate::candidate::{Candidate, Evaluated};
 use crate::task::TaskContext;
@@ -105,147 +108,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Default for ShardedMap<K, V> {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The machine's available parallelism (≥ 1).
-pub fn available_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Resolves a configured worker count: `0` means "use
-/// [`available_workers`]", anything else is taken literally.
-pub fn effective_workers(configured: usize) -> usize {
-    if configured == 0 {
-        available_workers()
-    } else {
-        configured
-    }
-}
-
-/// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Derives the training seed for one evaluation from the run seed, the
-/// search cycle and the candidate's index within its batch. Stable across
-/// worker counts by construction (none of the inputs depend on scheduling).
-pub fn derive_seed(base_seed: u64, cycle: usize, index: usize) -> u64 {
-    mix64(mix64(base_seed ^ mix64(cycle as u64)) ^ mix64((index as u64) ^ 0xA5A5_A5A5_A5A5_A5A5))
-}
-
-/// A panic caught inside a worker while evaluating one item.
-///
-/// The payload is reduced to its message: panic payloads are `Box<dyn Any>`
-/// and rarely more structured than a string, and a cloneable error is what
-/// search drivers need to fail one slot without losing the batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvalPanic {
-    /// Index of the item (in the mapped slice / request batch) whose
-    /// evaluation panicked.
-    pub index: usize,
-    /// The panic message, or a placeholder for non-string payloads.
-    pub message: String,
-}
-
-impl std::fmt::Display for EvalPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "evaluation of item {} panicked: {}",
-            self.index, self.message
-        )
-    }
-}
-
-impl std::error::Error for EvalPanic {}
-
-/// Extracts a printable message from a caught panic payload.
-///
-/// Public so other per-item isolation layers (the fleet campaign's
-/// per-node quarantine) reduce payloads to the same message format as
-/// [`EvalPanic`].
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// [`parallel_map`] with per-item panic isolation: a panic inside `f`
-/// fails that item's slot with an [`EvalPanic`] instead of unwinding
-/// across the pool and killing every in-flight evaluation. The remaining
-/// items still run, results stay in input order, and the pool exits
-/// cleanly at any worker count.
-pub fn try_parallel_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<Result<R, EvalPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let run = |i: usize, item: &T| -> Result<R, EvalPanic> {
-        catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|payload| EvalPanic {
-            index: i,
-            message: panic_message(payload),
-        })
-    };
-    let workers = effective_workers(workers).min(items.len().max(1));
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| run(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, EvalPanic>>>> =
-        (0..items.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = run(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot is filled before the scope ends")
-        })
-        .collect()
-}
-
-/// Maps `f` over `items` on up to `workers` scoped threads, returning the
-/// results in input order. Falls back to a plain sequential loop for one
-/// worker or ≤ 1 item, so the single-worker path has zero threading
-/// overhead (and trivially identical results).
-///
-/// A panic inside `f` no longer tears down the scope mid-flight: the other
-/// items complete, then the first panic is re-raised on the caller's
-/// thread with its original message. Use [`try_parallel_map`] to handle
-/// panics as values instead.
-pub fn parallel_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    try_parallel_map(workers, items, f)
-        .into_iter()
-        .map(|result| match result {
-            Ok(value) => value,
-            Err(panic) => panic!("{panic}"),
-        })
-        .collect()
 }
 
 /// One evaluation request: a candidate plus the search cycle it belongs to.
@@ -420,26 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order_at_any_worker_count() {
-        let items: Vec<usize> = (0..37).collect();
-        let expect: Vec<usize> = items.iter().map(|&x| x * x).collect();
-        for workers in [1, 2, 4, 16] {
-            let got = parallel_map(workers, &items, |i, &x| {
-                assert_eq!(i, x);
-                x * x
-            });
-            assert_eq!(got, expect, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_single() {
-        let none: Vec<u32> = parallel_map(4, &[], |_, &x: &u32| x);
-        assert!(none.is_empty());
-        assert_eq!(parallel_map(4, &[7u32], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
     fn derived_seeds_are_stable_and_distinct() {
         let a = derive_seed(0xE7A5, 3, 5);
         assert_eq!(a, derive_seed(0xE7A5, 3, 5), "stable");
@@ -450,37 +292,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 2500, "no collisions in a search-sized grid");
-    }
-
-    #[test]
-    fn effective_workers_resolves_zero() {
-        assert!(effective_workers(0) >= 1);
-        assert_eq!(effective_workers(3), 3);
-    }
-
-    #[test]
-    fn try_parallel_map_isolates_panics_at_any_worker_count() {
-        let items: Vec<usize> = (0..16).collect();
-        for workers in [1, 2, 4] {
-            let got = try_parallel_map(workers, &items, |_, &x| {
-                assert!(x % 5 != 3, "poisoned item {x}");
-                x * 2
-            });
-            assert_eq!(got.len(), items.len(), "workers={workers}");
-            for (i, result) in got.iter().enumerate() {
-                if i % 5 == 3 {
-                    match result {
-                        Err(p) => {
-                            assert_eq!(p.index, i);
-                            assert!(p.message.contains("poisoned item"), "{p}");
-                        }
-                        Ok(v) => panic!("item {i} should have panicked, got {v}"),
-                    }
-                } else {
-                    assert_eq!(*result, Ok(i * 2), "workers={workers}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -24,12 +24,11 @@
 //! the `scenario-hygiene` lint family on top of the determinism family.
 
 use solarml_circuit::{CloudTransient, FaultPlan, OutageWindow, SupercapDegradation};
-use solarml_nas::parallel::derive_seed;
 use solarml_platform::{DayProfile, DaySimConfig};
+use solarml_sim::seed::{derive_seed, pick_weighted, uniform};
 use solarml_units::{Energy, Farads, Power, Ratio, Seconds, Volts};
 
 use crate::ast::{Call, TimeOfDay, UnitSuffix, Value};
-use crate::rng::{pick_weighted, uniform};
 use crate::sig::{bind, spec, Kind};
 
 /// Cycle tag for scenario-combinator streams: every randomized combinator

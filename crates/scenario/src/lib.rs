@@ -42,7 +42,6 @@ mod eval;
 mod lexer;
 mod parser;
 pub mod registry;
-pub mod rng;
 mod sig;
 
 pub use ast::{render, Arg, Call, TimeOfDay, UnitSuffix, Value};

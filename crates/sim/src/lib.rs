@@ -16,11 +16,16 @@
 //!   computed trapezoidally from the same intermediates as the storage
 //!   update, the residual is round-off only at *any* timestep — the
 //!   adaptive policy keeps the ≤ 1 nJ/day bound by construction.
+//!
+//! [`seed`] (the one SplitMix64) and [`pool`] (the worker pool) serve NAS,
+//! fleet and scenario code alike.
 
 mod bus;
 mod clocked;
 mod ledger;
+pub mod pool;
 mod sched;
+pub mod seed;
 
 pub use bus::{SimBus, SimEvent};
 pub use clocked::{Clocked, StepOutcome};

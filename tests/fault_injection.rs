@@ -9,14 +9,14 @@
 //!    `EnergyAudit` conservation residual stays ≤ 1 nJ over the day;
 //! 3. identical seeds produce bit-identical reports across repeated runs
 //!    *and* across parallel worker counts (the fault simulation rides the
-//!    NAS worker pool without picking up nondeterminism).
+//!    shared worker pool without picking up nondeterminism).
 
 use solarml::circuit::FaultPlan;
-use solarml::nas::parallel::parallel_map;
 use solarml::platform::{
     simulate_faulted_day, stressed_office_day, DayFaultReport, DegradationLadder,
     IntermittentConfig, PhasePlan,
 };
+use solarml::sim::pool::parallel_map;
 use solarml::units::{Energy, Lux, Ratio};
 
 const SEED: u64 = 42;

@@ -14,9 +14,11 @@
 //! Usage: `quickbench [--quick] [--out PATH]`
 //! `--quick` cuts repetitions for CI; the full run medians over more reps.
 
-// A measurement binary: panicking on a violated internal invariant (a stage
-// name that was never pushed, zero reps) is the correct failure mode.
-#![allow(clippy::expect_used)]
+#![allow(
+    clippy::expect_used,
+    reason = "a measurement binary: panicking on a violated internal invariant (a stage name that \
+              was never pushed, zero reps) is the correct failure mode"
+)]
 
 use std::time::Instant;
 

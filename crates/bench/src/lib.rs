@@ -31,7 +31,10 @@ pub fn pct(x: f64) -> String {
 }
 
 /// The reference µNAS-scale gesture task used by Figs. 1/2/6.
-#[allow(clippy::expect_used)] // literal reference configs are valid by inspection
+#[allow(
+    clippy::expect_used,
+    reason = "literal reference configs are valid by inspection"
+)]
 pub fn reference_gesture_task() -> TaskProfile {
     let params = GestureSensingParams::new(9, 100, Resolution::Int, 8)
         .expect("reference gesture params are valid");
@@ -53,7 +56,10 @@ pub fn reference_gesture_task() -> TaskProfile {
 }
 
 /// The reference µNAS-scale KWS task used by Figs. 1/2/6.
-#[allow(clippy::expect_used)] // literal reference configs are valid by inspection
+#[allow(
+    clippy::expect_used,
+    reason = "literal reference configs are valid by inspection"
+)]
 pub fn reference_kws_task() -> TaskProfile {
     let params = AudioFrontendParams::standard();
     let spec = ModelSpec::new(

@@ -89,7 +89,10 @@ impl GestureSensingParams {
     /// The paper's default full-fidelity configuration: all 9 channels at
     /// 200 Hz, 12-bit float pipeline.
     pub fn full() -> Self {
-        #[allow(clippy::expect_used)] // literal arguments are inside the validated Table II ranges
+        #[allow(
+            clippy::expect_used,
+            reason = "literal arguments are inside the validated Table II ranges"
+        )]
         Self::new(9, 200, Resolution::Float, 12).expect("full config is valid")
     }
 
@@ -176,7 +179,10 @@ impl AudioFrontendParams {
 
     /// A standard 20 ms / 25 ms / 13-feature MFCC configuration.
     pub fn standard() -> Self {
-        #[allow(clippy::expect_used)] // literal arguments are inside the validated Table II ranges
+        #[allow(
+            clippy::expect_used,
+            reason = "literal arguments are inside the validated Table II ranges"
+        )]
         Self::new(20, 25, 13).expect("standard config is valid")
     }
 

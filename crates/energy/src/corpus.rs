@@ -164,8 +164,10 @@ pub fn random_gesture_params(rng: &mut impl Rng) -> GestureSensingParams {
     } else {
         (Resolution::Float, rng.gen_range(9..=32u8))
     };
-    #[allow(clippy::expect_used)]
-    // physics-lint: allow(expect): RNG ranges are the constructor's exact validity domain (Table II)
+    #[allow(
+        clippy::expect_used,
+        reason = "RNG ranges are the constructor's exact validity domain (Table II)"
+    )]
     GestureSensingParams::new(channels, rate, resolution, quant).expect("ranges are valid")
 }
 
@@ -212,8 +214,11 @@ pub fn random_audio_params(rng: &mut impl Rng) -> AudioFrontendParams {
     let s = rng.gen_range(10..=30u8);
     let d = rng.gen_range(18..=30u8);
     let f = rng.gen_range(10..=40u8);
-    #[allow(clippy::expect_used)]
-    AudioFrontendParams::new(s, d, f).expect("ranges are valid") // physics-lint: allow(expect): RNG ranges are the constructor's exact validity domain (Table II)
+    #[allow(
+        clippy::expect_used,
+        reason = "RNG ranges are the constructor's exact validity domain (Table II)"
+    )]
+    AudioFrontendParams::new(s, d, f).expect("ranges are valid")
 }
 
 #[cfg(test)]

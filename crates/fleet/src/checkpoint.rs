@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Snapshots are written via [`solarml_trace::write_atomic`]
-//! (temp + fsync + rename — enforced by the `atomic-persist` lint), named
+//! (temp + fsync + rename; fleet's `clippy.toml` disallows bare writes), named
 //! `ckpt-<nodes_done>.bin`, and pruned to a retention window. Resume scans
 //! newest-first: a corrupted or truncated snapshot is *skipped* — the range
 //! it covered is recomputed from the next older valid one — and every

@@ -558,6 +558,10 @@ pub fn run_sweep(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests plant torn and foreign files with bare writes on purpose"
+)]
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;

@@ -12,7 +12,7 @@
 //! The one task the fleet needs is [`NodeDayTask`]: simulate one node's
 //! day. Its identity is a **content key** — a stable FNV-1a hash
 //! ([`solarml_trace::FnvHasher`], never `DefaultHasher`/`RandomState`,
-//! enforced by the `stable-store-key` lint) over every input that can
+//! which fleet's `clippy.toml` disallows) over every input that can
 //! change the outcome:
 //!
 //! * the *fully resolved* node parameters — the sampled

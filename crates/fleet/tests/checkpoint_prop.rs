@@ -144,7 +144,11 @@ proptest! {
             .enumerate()
             .map(|(i, &s)| summary_from(i, s))
             .collect();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "the fraction is in [0, 1], so the product is a non-negative count no larger than the length"
+        )]
         let split = ((summaries.len() as f64) * split_frac) as usize;
 
         let mut unbroken = FleetAggregate::new();
@@ -177,7 +181,11 @@ proptest! {
     ) {
         let snap = snapshot_from(&seeds, &[], 7, 3);
         let bytes = snap.encode();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "the fraction is in [0, 1], so the product is a non-negative count no larger than the length"
+        )]
         let cut = ((bytes.len() as f64) * cut_frac) as usize % bytes.len();
         // Must return an error value; a panic fails the test harness.
         prop_assert!(CampaignSnapshot::decode(&bytes[..cut], "prop").is_err());
@@ -191,7 +199,11 @@ proptest! {
     ) {
         let snap = snapshot_from(&seeds, &[], 7, 3);
         let mut bytes = snap.encode();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "the fraction is in [0, 1], so the product is a non-negative count no larger than the length"
+        )]
         let pos = ((bytes.len() as f64) * pos_frac) as usize % bytes.len();
         bytes[pos] ^= flip;
         // FNV-1a's per-byte mix is bijective, so any one-byte change moves
@@ -203,7 +215,10 @@ proptest! {
     fn random_garbage_never_panics_the_decoder(
         bytes in collection::vec(0u64..=255, 0..256),
     ) {
-        #[allow(clippy::cast_possible_truncation)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "proptest draws each byte from 0..=255"
+        )]
         let bytes: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
         let _ = CampaignSnapshot::decode(&bytes, "prop");
     }

@@ -116,6 +116,10 @@ fn corrupt_newest_snapshot_is_skipped_and_its_range_recomputed() {
     let mut bytes = std::fs::read(&newest).expect("read snapshot");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the test tears the snapshot on purpose"
+    )]
     std::fs::write(&newest, &bytes).expect("re-write corrupted snapshot");
 
     let (report, resumed) = resume_campaign_verbose(&cfg, &checkpoints(&dir), &simulate_node)
@@ -181,6 +185,10 @@ fn all_snapshots_corrupt_is_a_typed_error_listing_the_rejects() {
     let snapshots = snapshot_files(&dir);
     assert!(!snapshots.is_empty());
     for path in &snapshots {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the test clobbers every snapshot on purpose"
+        )]
         std::fs::write(path, b"not a checkpoint at all").expect("clobber snapshot");
     }
     match resume_campaign(&cfg, &checkpoints(&dir)) {

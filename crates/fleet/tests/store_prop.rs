@@ -8,6 +8,10 @@
 //! Simulation-backed properties run a stripped population (zero
 //! interactions, clouds, outages) so each node-day costs microseconds;
 //! key-space properties never simulate at all.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the properties mangle store files in place with bare writes on purpose"
+)]
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,7 +137,11 @@ proptest! {
         chunk in 1usize..5,
     ) {
         let (master_dir, keys, cold_json) = master_store();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "the fraction is in [0, 1], so the product is a non-negative count no larger than the length"
+        )]
         let split = ((PROP_NODES as f64) * split_frac) as usize % (PROP_NODES + 1);
 
         let dir = fresh_dir("prefix");
@@ -175,7 +183,11 @@ proptest! {
 
         let path = dir.join(format!("nd-{key:016x}.bin"));
         let mut bytes = std::fs::read(&path).expect("read");
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "the fraction is in [0, 1], so the product is a non-negative count no larger than the length"
+        )]
         let pos = ((bytes.len() as f64) * pos_frac) as usize % bytes.len();
         if truncate {
             bytes.truncate(pos);

@@ -172,7 +172,10 @@ pub fn run_enas(ctx: &TaskContext, config: &EnasConfig) -> SearchOutcome {
 ///
 /// Spec re-derivation consumes the search RNG sequentially; the neighbour
 /// evaluations then run as one parallel batch.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the paper's GRIDMUTATE takes the search state piecewise; bundling it would only rename the arguments"
+)]
 fn grid_mutate(
     ctx: &TaskContext,
     engine: &EvalEngine<'_>,

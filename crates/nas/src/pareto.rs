@@ -23,8 +23,10 @@ pub fn pareto_front(points: &[Evaluated]) -> Vec<Evaluated> {
             .partial_cmp(&b.true_energy)
             .expect("energies are finite")
     });
-    #[allow(clippy::float_cmp)]
-    // dedup of *identical* evaluation records: bitwise equality is the intent
+    #[allow(
+        clippy::float_cmp,
+        reason = "dedup of *identical* evaluation records: bitwise equality is the intent"
+    )]
     front.dedup_by(|a, b| a.accuracy == b.accuracy && a.true_energy == b.true_energy);
     front
 }

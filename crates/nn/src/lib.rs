@@ -49,12 +49,15 @@
 //! # }
 //! ```
 
-// Panicking on violated shape/sampling invariants is the right contract for
-// the tensor and search internals: every shape is validated once at
-// `ModelSpec` construction, and threading `Result` through each layer
-// micro-op would bury the math. The five physics crates keep the strict
-// `unwrap_used`/`expect_used` deny — enforced by `cargo xtask lint`.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+// The physics crates keep the strict `unwrap_used`/`expect_used` deny,
+// enforced by clippy in `cargo xtask lint`.
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "panicking on violated shape/sampling invariants is the right contract for the tensor \
+              and search internals: every shape is validated once at `ModelSpec` construction, and \
+              threading `Result` through each layer micro-op would bury the math"
+)]
 
 pub mod arch;
 pub mod dataset;

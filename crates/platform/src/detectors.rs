@@ -102,14 +102,20 @@ pub fn solarml_detector_spec() -> DetectorSpec {
     let working_hi = working_at(250.0).max(working_at(1000.0));
 
     let det = EventDetector::default();
-    #[allow(clippy::expect_used)]
+    #[allow(
+        clippy::expect_used,
+        reason = "default detector triggers at 1000 lux by construction (covered by tests)"
+    )]
     let rt_bright = det
         .response_time(Lux::new(1000.0), v_cap)
-        .expect("bright light triggers"); // physics-lint: allow(expect): default detector triggers at 1000 lux by construction (covered by tests)
-    #[allow(clippy::expect_used)]
+        .expect("bright light triggers");
+    #[allow(
+        clippy::expect_used,
+        reason = "250 lux is inside the calibrated trigger range (covered by tests)"
+    )]
     let rt_dim = det
         .response_time(Lux::new(250.0), v_cap)
-        .expect("dim office light still triggers"); // physics-lint: allow(expect): 250 lux is inside the calibrated trigger range (covered by tests)
+        .expect("dim office light still triggers");
     let rt_lo = rt_bright.as_millis().min(rt_dim.as_millis());
     let rt_hi = rt_bright.as_millis().max(rt_dim.as_millis());
 

@@ -316,7 +316,10 @@ impl DutyCycleConfig {
 /// duty-cycled MCU-only variant (components `[mcu]`, reading `mcu_load`) and
 /// the event-driven platform variant (components `[mcu, circuit]`, reading
 /// the rail's `load_power`) differ only in their component list and probe.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one span helper shared by both lifecycle variants; the arguments are exactly what differs between them"
+)]
 fn run_segment(
     sched: &mut Scheduler,
     bus: &mut SimBus,

@@ -20,8 +20,9 @@
 //!   [`FaultPlan::seeded_cloudy_day`], which owns the `FAULT_STREAM_TAG`
 //!   stream — byte parity with the hard-coded cloudy-day example.
 //!
-//! No clocks, no OS entropy, no hashed-container iteration — enforced by
-//! the `scenario-hygiene` lint family on top of the determinism family.
+//! No clocks, no OS entropy, no hashed containers — disallowed by the
+//! crate's `clippy.toml` — and no seed arithmetic outside `derive_seed`,
+//! enforced by the `seed-discipline` lint.
 
 use solarml_circuit::{CloudTransient, FaultPlan, OutageWindow, SupercapDegradation};
 use solarml_platform::{DayProfile, DaySimConfig};

@@ -2,9 +2,10 @@
 //!
 //! Every `.scn` script under `crates/scenario/scenarios/` is embedded at
 //! compile time and parsed once, lazily. Each script's first line is a
-//! `# name: description` header; the `scenario-hygiene` lint checks that
-//! the header name matches the file stem and that names are unique, and
-//! the registry self-test checks that every script parses.
+//! `# name: description` header. The registry self-tests check that every
+//! script parses, that the header name matches the file stem, that names
+//! are unique, and that the embedded scripts are exactly the files under
+//! `scenarios/`.
 
 use std::sync::OnceLock;
 
@@ -149,6 +150,33 @@ mod tests {
         assert_eq!(sorted.len(), names.len(), "duplicate registry names");
         assert!(find("stressed_office_day").is_some());
         assert!(find("no_such_scenario").is_none());
+    }
+
+    /// The embedded scripts are exactly the files under `scenarios/`: a
+    /// script on disk the registry does not ship is a dead scenario the CLI
+    /// cannot find, and an embedded copy must be the file byte for byte.
+    #[test]
+    fn registry_embeds_exactly_the_shipped_files() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+        let mut stems: Vec<String> = std::fs::read_dir(&dir)
+            .expect("scenarios/ is readable")
+            .map(|e| e.expect("readable dir entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "scn"))
+            .map(|p| {
+                let stem = p.file_stem().expect("file has a stem");
+                stem.to_string_lossy().into_owned()
+            })
+            .collect();
+        stems.sort();
+        let mut registered = names();
+        registered.sort_unstable();
+        assert_eq!(stems, registered, "file stems must equal registry names");
+        for stem in &stems {
+            let on_disk = std::fs::read_to_string(dir.join(format!("{stem}.scn")))
+                .expect("script is readable");
+            let entry = find(stem).expect("every stem is registered");
+            assert_eq!(entry.source, on_disk, "`{stem}` embeds a stale copy");
+        }
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //! [`write_atomic`] is the single sanctioned way to persist these payloads:
 //! write to a temporary sibling, fsync, rename over the target. A crash at
 //! any instant leaves either the old file or the new file, never a torn
-//! hybrid. The `atomic-persist` lint (`cargo xtask lint`) bans bare
-//! `fs::write` / `File::create` in checkpoint-handling crates outside this
-//! helper so the invariant cannot erode silently.
+//! hybrid. The `fleet` and `trace` `clippy.toml` files disallow bare
+//! `fs::write` / `File::create` (`cargo xtask lint` runs clippy), and this
+//! helper carries the one reasoned allow, so the invariant cannot erode
+//! silently.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -61,8 +62,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// fingerprints) must hash identically across processes, platforms, and
 /// std releases, so `std::hash`'s `DefaultHasher`/`RandomState` — whose
 /// output is salted per process and explicitly unspecified across versions
-/// — are banned in store-key code by the `stable-store-key` lint
-/// (`cargo xtask lint`). This type is the sanctioned alternative: same
+/// — are disallowed types in the `fleet` and `trace` `clippy.toml` files
+/// (`cargo xtask lint` runs clippy). This type is the sanctioned alternative: same
 /// function as [`fnv1a64`], incremental, so key material can be folded in
 /// field by field without buffering an intermediate encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -467,9 +468,9 @@ impl<'a> ByteReader<'a> {
 /// the directory, best-effort). A crash at any point leaves either the
 /// previous file intact or the new file complete — never a torn write.
 ///
-/// This is the registered helper for the `atomic-persist` lint: all
-/// checkpoint-path writes in `fleet`/`trace` library code must flow
-/// through here.
+/// All checkpoint-path writes in `fleet`/`trace` library code must flow
+/// through here: their `clippy.toml` files disallow the bare calls, and
+/// this body is the one allowed site.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let file_name = path.file_name().ok_or_else(|| {
@@ -486,6 +487,10 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         None => std::path::PathBuf::from(&tmp_name),
     };
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "temp sibling, fsynced then renamed over the target: the atomic-write protocol itself"
+    )]
     let mut file = std::fs::File::create(&tmp)?;
     file.write_all(bytes)?;
     file.sync_all()?;

@@ -28,7 +28,6 @@
 use std::path::Path;
 
 use crate::scan::{scan_file, AllowList, RuleSet, ScanConfig};
-use crate::Violation;
 
 /// One expected finding: the 1-based line and the rule name.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -63,9 +62,8 @@ pub fn parse_expectations(src: &str) -> Vec<Expectation> {
 
 /// Parses the fixture's `// lint-rules: <family …>` header line into a
 /// [`RuleSet`]. Family names match the [`RuleSet`] fields: `signatures`,
-/// `strict`, `sendsync`, `sim-loops`, `determinism`, `seed-discipline`,
-/// `ledger-coverage`, `atomic-persist`, `stable-store-key`,
-/// `scenario-hygiene`, `fault-path`.
+/// `float-eq`, `sim-loops`, `determinism`, `seed-discipline`,
+/// `ledger-coverage`, `fault-path`.
 pub fn rules_from_header(src: &str) -> Result<RuleSet, String> {
     let header = src
         .lines()
@@ -75,15 +73,11 @@ pub fn rules_from_header(src: &str) -> Result<RuleSet, String> {
     for word in header.split_whitespace() {
         match word {
             "signatures" => rules.signatures = true,
-            "strict" => rules.strict = true,
-            "sendsync" => rules.sendsync = true,
+            "float-eq" => rules.float_eq = true,
             "sim-loops" => rules.sim_loops = true,
             "determinism" => rules.determinism = true,
             "seed-discipline" => rules.seed_discipline = true,
             "ledger-coverage" => rules.ledger_coverage = true,
-            "atomic-persist" => rules.atomic_persist = true,
-            "stable-store-key" => rules.stable_store_key = true,
-            "scenario-hygiene" => rules.scenario_hygiene = true,
             "fault-path" => rules.fault_path = true,
             other => return Err(format!("unknown lint-rules family `{other}`")),
         }
@@ -97,19 +91,28 @@ pub fn rules_from_header(src: &str) -> Result<RuleSet, String> {
 pub fn check_fixture(rel: &Path, src: &str) -> Result<(), String> {
     let rules = rules_from_header(src)?;
     let config = ScanConfig::default_policy(AllowList::default());
-    let actual = scan_file(rel, src, rules, &config);
+    let actual: Vec<(Expectation, String)> = scan_file(rel, src, rules, &config)
+        .into_iter()
+        .map(|v| {
+            let found = Expectation {
+                line: v.line,
+                rule: v.kind.name().to_string(),
+            };
+            (found, v.detail)
+        })
+        .collect();
     diff(rel, &parse_expectations(src), &actual)
 }
 
-/// Multiset comparison of expectations vs. findings.
-fn diff(rel: &Path, expected: &[Expectation], actual: &[Violation]) -> Result<(), String> {
-    let mut got: Vec<Expectation> = actual
-        .iter()
-        .map(|v| Expectation {
-            line: v.line,
-            rule: v.kind.name().to_string(),
-        })
-        .collect();
+/// Multiset comparison of expectations vs. findings, each finding paired
+/// with its detail text. Shared by this corpus and the clippy corpus
+/// (`tests/clippy_corpus.rs`), whose findings are clippy diagnostics.
+pub fn diff(
+    rel: &Path,
+    expected: &[Expectation],
+    actual: &[(Expectation, String)],
+) -> Result<(), String> {
+    let mut got: Vec<Expectation> = actual.iter().map(|(f, _)| f.clone()).collect();
     got.sort();
     let mut missing: Vec<&Expectation> = Vec::new();
     let mut remaining = got.clone();
@@ -133,9 +136,8 @@ fn diff(rel: &Path, expected: &[Expectation], actual: &[Violation]) -> Result<()
     for g in &remaining {
         let detail = actual
             .iter()
-            .find(|v| v.line == g.line && v.kind.name() == g.rule)
-            .map(|v| v.detail.as_str())
-            .unwrap_or("");
+            .find(|(f, _)| f == g)
+            .map_or("", |(_, d)| d.as_str());
         msg.push_str(&format!(
             "  unexpected `{}` on line {}: {}\n",
             g.rule, g.line, detail
@@ -151,11 +153,11 @@ mod tests {
     #[test]
     fn expectation_parser_handles_carets() {
         let src = "\
-// lint-rules: strict
+// lint-rules: float-eq
 fn f() {
-    x.unwrap(); //~ ERROR unwrap
-    y.expect(\"\"); // trailing comment
-    //~^ ERROR expect
+    x == 1.0; //~ ERROR float-eq
+    y == 2.0; // trailing comment
+    //~^ ERROR float-eq
 }
 ";
         let exp = parse_expectations(src);
@@ -164,11 +166,11 @@ fn f() {
             vec![
                 Expectation {
                     line: 3,
-                    rule: "unwrap".to_string()
+                    rule: "float-eq".to_string()
                 },
                 Expectation {
                     line: 4,
-                    rule: "expect".to_string()
+                    rule: "float-eq".to_string()
                 },
             ]
         );
@@ -176,8 +178,8 @@ fn f() {
 
     #[test]
     fn header_parser_rejects_unknown_families() {
-        assert!(rules_from_header("// lint-rules: strict determinism").is_ok());
-        assert!(rules_from_header("// lint-rules: stricct").is_err());
+        assert!(rules_from_header("// lint-rules: float-eq determinism").is_ok());
+        assert!(rules_from_header("// lint-rules: float-eqq").is_err());
         assert!(rules_from_header("fn main() {}").is_err());
     }
 }

@@ -358,7 +358,10 @@ pub fn blank_with_tokens(src: &str, tokens: &[Token]) -> String {
             }
         }
     }
-    #[allow(clippy::expect_used)] // blanking replaces ASCII bytes with ASCII, so UTF-8 is preserved
+    #[allow(
+        clippy::expect_used,
+        reason = "blanking replaces ASCII bytes with ASCII, so UTF-8 is preserved"
+    )]
     String::from_utf8(out).expect("blanking preserves UTF-8")
 }
 
@@ -464,7 +467,10 @@ pub fn reference_blank(src: &str) -> String {
             }
         }
     }
-    #[allow(clippy::expect_used)] // blanking replaces ASCII bytes with ASCII, so UTF-8 is preserved
+    #[allow(
+        clippy::expect_used,
+        reason = "blanking replaces ASCII bytes with ASCII, so UTF-8 is preserved"
+    )]
     String::from_utf8(out).expect("blanking preserves UTF-8")
 }
 

@@ -10,17 +10,24 @@
 //! * [`scan`] — the **physics lint**: a lexical scanner that rejects raw
 //!   `f64`/`f32` in public signatures of the physics crates (forcing
 //!   `solarml-units` newtypes), float `==`/`!=` against literals,
-//!   `unwrap()`/`expect()` in non-test library code, and manual
+//!   `unwrap()`/`expect()` anywhere in the fault-path files, and manual
 //!   time-stepping loops that bypass the co-simulation scheduler.
 //! * [`manifest`] — the **workspace lint gate**: every crate must opt into
 //!   the `[workspace.lints]` table so the curated clippy deny-set applies
 //!   tree-wide.
+//! * [`clippy`] — runs clippy on a source snippet, so the self-tests of the
+//!   bans clippy alone enforces exercise the shipped configuration.
 //!
 //! The binary (`cargo xtask lint`) additionally shells out to
-//! `cargo fmt --check` and `cargo clippy` for the gates that need type
-//! information. See DESIGN.md §"Correctness tooling" for the allow-list
-//! format and escape hatches.
+//! `cargo fmt --check` and `cargo clippy`. Clippy is the only enforcer of
+//! every ban it can resolve by type: `unwrap`/`expect` in library code and
+//! the per-crate `clippy.toml` disallowed lists (wall clocks, ambient
+//! entropy, hashed containers, `Rc`/`RefCell`, unstable hashers, bare
+//! `fs::write`/`File::create`). The lexical rules cover only what clippy
+//! cannot. See DESIGN.md §"Correctness tooling" for the ban → enforcer
+//! table, the allow-list format and the escape hatches.
 
+pub mod clippy;
 pub mod corpus;
 pub mod lexer;
 pub mod manifest;
@@ -48,16 +55,9 @@ pub struct Violation {
 pub enum ViolationKind {
     /// A `pub fn` in a physics crate mentions raw `f64`/`f32`.
     RawFloatSignature,
-    /// `==` or `!=` with a float literal operand.
+    /// `==` or `!=` with a float literal operand. Overlaps clippy's
+    /// `float_cmp`, which skips comparisons against zero.
     FloatEq,
-    /// `.unwrap()` in non-test library code.
-    Unwrap,
-    /// `.expect(...)` in non-test library code.
-    Expect,
-    /// `Rc<`/`RefCell<` in library code of a crate whose state must stay
-    /// `Send + Sync` (the parallel evaluation engine shares it across
-    /// worker threads).
-    RcRefCell,
     /// `.unwrap()`/`.expect(` anywhere — including tests — in a file on
     /// the brownout/fault path, where a panic would masquerade as the
     /// fault being injected.
@@ -67,11 +67,10 @@ pub enum ViolationKind {
     /// stepping must go through `solarml_sim::Scheduler` so there is one
     /// clock and one energy ledger.
     AdhocSimLoop,
-    /// Nondeterministic construct in engine code: iteration over a
-    /// `HashMap`/`HashSet` (hasher-dependent order), a wall-clock read
-    /// (`Instant::now`/`SystemTime::now`), or ambient OS entropy
-    /// (`thread_rng`/`from_entropy`). Every result this workspace publishes
-    /// must be recomputable bit-identically from `(spec, seed)`.
+    /// Iteration over a `HashMap`/`HashSet` (hasher-dependent order) in a
+    /// crate whose `clippy.toml` allows hashed containers. Every result this
+    /// workspace publishes must be recomputable bit-identically from
+    /// `(spec, seed)`.
     Determinism,
     /// Raw seed arithmetic (`seed + i`, `seed ^ 0x…`) outside a sanctioned
     /// mixer function, or a `derive_seed` call whose cycle tag is not a
@@ -82,29 +81,6 @@ pub enum ViolationKind {
     /// the `SimBus`/`EnergyAudit` ledger. Exactly the pattern that once let
     /// `endtoend` double-count harvest energy.
     LedgerCoverage,
-    /// A bare `fs::write(`/`File::create(` in a persistence crate outside
-    /// a registered atomic-write helper. A crash between `create` and the
-    /// final flush leaves a torn checkpoint that resume would then have to
-    /// distinguish from corruption; all durable bytes go through
-    /// `write_atomic` (temp sibling + fsync + rename).
-    AtomicPersist,
-    /// A randomized/unstable std hasher (`DefaultHasher`, `RandomState`,
-    /// `SipHasher…`) in store-key code. SipHash keys are seeded per process,
-    /// so a content key minted by one run would never be found by the next —
-    /// every node-day store entry would silently miss forever. Store keys go
-    /// through the registered stable hasher (`solarml_trace::FnvHasher`,
-    /// FNV-1a, byte-identical across processes, builds, and platforms).
-    StableStoreKey,
-    /// A breach of the scenario-language determinism contract: scenario
-    /// evaluation must be a pure function of `(script, seed)`, so its code
-    /// may not read clocks, draw ambient entropy, iterate hashed
-    /// containers, or do seed arithmetic outside `derive_seed` with the
-    /// registered `SCENARIO_STREAM_TAG` — and every shipped `.scn` script
-    /// must carry a `# name:` header matching its file stem, unique across
-    /// the registry and actually included by `registry.rs`. A scenario
-    /// that drifts from these rules silently invalidates every golden
-    /// FleetReport keyed on its resolved content.
-    ScenarioHygiene,
     /// A `physics-lint: allow(…)` escape with no `: reason` trailer, or
     /// naming a rule that does not exist. Escapes are reviewed decisions;
     /// an unexplained one is indistinguishable from a stale one.
@@ -121,17 +97,11 @@ impl ViolationKind {
         match self {
             ViolationKind::RawFloatSignature => "raw-float-signature",
             ViolationKind::FloatEq => "float-eq",
-            ViolationKind::Unwrap => "unwrap",
-            ViolationKind::Expect => "expect",
-            ViolationKind::RcRefCell => "rc-refcell",
             ViolationKind::FaultPathUnwrap => "fault-path",
             ViolationKind::AdhocSimLoop => "adhoc-sim-loop",
             ViolationKind::Determinism => "determinism",
             ViolationKind::SeedDiscipline => "seed-discipline",
             ViolationKind::LedgerCoverage => "ledger-coverage",
-            ViolationKind::AtomicPersist => "atomic-persist",
-            ViolationKind::StableStoreKey => "stable-store-key",
-            ViolationKind::ScenarioHygiene => "scenario-hygiene",
             ViolationKind::AllowWithoutReason => "allow-without-reason",
             ViolationKind::MissingLintsTable => "missing-lints-table",
             ViolationKind::MissingWorkspaceLints => "missing-workspace-lints",

@@ -4,8 +4,10 @@
 //! 1. physics lint (lexical scan; see [`xtask::scan`])
 //! 2. manifest gate ([`xtask::manifest`])
 //! 3. `cargo fmt --check` (skipped with `--fast`)
-//! 4. `cargo clippy --workspace` with the `[workspace.lints]` deny-set
-//!    (skipped with `--fast`)
+//! 4. `cargo clippy --workspace` with the `[workspace.lints]` deny-set and
+//!    the per-crate `clippy.toml` disallowed lists (skipped with `--fast`).
+//!    Clippy is the only enforcer of those bans, so `--fast` does not
+//!    check them.
 //!
 //! Exit status 0 means every pass was clean; 1 means violations (printed
 //! one per line as `file:line: [rule] detail`); 2 means the driver itself
@@ -29,6 +31,7 @@ use xtask::{json_report, manifest, Violation};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
+    let help = args.iter().any(|a| a == "--help" || a == "-h");
     let json = args.iter().any(|a| a == "--json");
     let out = args
         .iter()
@@ -36,9 +39,9 @@ fn main() -> ExitCode {
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from);
     match args.first().map(String::as_str) {
-        Some("lint") => run_lint(fast, json, out.as_deref()),
+        Some("lint") if !help => run_lint(fast, json, out.as_deref()),
         Some("bench") => run_bench(&args[1..]),
-        Some("--help" | "-h") | None => {
+        Some("lint" | "--help" | "-h") | None => {
             print_usage();
             ExitCode::SUCCESS
         }
@@ -57,9 +60,12 @@ fn print_usage() {
          lint [--fast] [--json] [--out PATH]\n                          \
          Physics lint, manifest gate, `cargo fmt\n                          \
          --check` and `cargo clippy`. `--fast` skips\n                          \
-         the two cargo subprocess gates. `--json`\n                          \
-         prints a JSON report; `--out PATH` also\n                          \
-         writes it to PATH (even on failure).\n  \
+         the two cargo subprocess gates, and with\n                          \
+         them every clippy-enforced ban (unwrap/\n                          \
+         expect, clocks, entropy, Rc/RefCell,\n                          \
+         unstable hashers, bare fs writes).\n                          \
+         `--json` prints a JSON report; `--out PATH`\n                          \
+         also writes it to PATH (even on failure).\n  \
          bench [--quick] [args]  Build and run the quickbench binary; writes\n                          \
          BENCH_hotpaths.json at the workspace root.\n                          \
          `--quick` cuts repetitions for CI."

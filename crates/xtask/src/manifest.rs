@@ -13,12 +13,16 @@ use std::path::Path;
 use crate::{Violation, ViolationKind};
 
 /// Lints every crate manifest must inherit from the workspace table.
-/// Listed here so the gate fails loudly if someone trims the root table.
+/// Listed here so the gate fails loudly if someone trims the root table:
+/// clippy is the only enforcer of the panic and disallowed-list bans.
 pub const REQUIRED_CLIPPY_LINTS: &[&str] = &[
     "unwrap_used",
     "expect_used",
     "float_cmp",
     "lossy_float_literal",
+    "allow_attributes_without_reason",
+    "disallowed_methods",
+    "disallowed_types",
 ];
 
 /// Checks the root manifest for the `[workspace.lints.clippy]` deny-set and

@@ -1,38 +1,25 @@
 //! The determinism rule families: token-aware passes that statically guard
-//! the "bit-identical everywhere" promise.
+//! the "bit-identical everywhere" promise where clippy cannot.
 //!
 //! PR 2 and PR 5 pinned `SearchOutcome` and `FleetReport` byte-identical
 //! across worker counts; the incremental-campaign roadmap items are only
 //! sound if every cached result is recomputable from `(spec, seed, index)`.
-//! These rules reject, at lint time, the three ways that promise has
-//! historically been broken:
+//! Bans clippy can resolve by type (wall clocks, ambient entropy, hashed
+//! containers, unstable hashers, bare durable writes) live in the per-crate
+//! `clippy.toml` files. These rules reject the patterns no disallowed list
+//! can express:
 //!
 //! * [`determinism`](ViolationKind::Determinism) — iteration over
 //!   `HashMap`/`HashSet` (RandomState makes the order — and therefore any
-//!   float accumulation over it — run-dependent), wall-clock reads, and
-//!   ambient OS entropy;
+//!   float accumulation over it — run-dependent), in the crates whose
+//!   `clippy.toml` allows hashed containers for lookups;
 //! * [`seed-discipline`](ViolationKind::SeedDiscipline) — raw seed
 //!   arithmetic outside the sanctioned mixer functions, and `derive_seed`
 //!   calls whose cycle tag is not a registered named constant (two call
 //!   sites inventing `seed + i` and `seed ^ i` is how streams collide);
 //! * [`ledger-coverage`](ViolationKind::LedgerCoverage) — `+= … * dt`
 //!   side-channel integration outside `SimBus`/`EnergyAudit`, the exact
-//!   double-counting pattern the unified-scheduler refactor removed;
-//! * [`atomic-persist`](ViolationKind::AtomicPersist) — bare `fs::write` /
-//!   `File::create` in the persistence crates outside a registered
-//!   atomic-write helper (a crash mid-write leaves a torn checkpoint;
-//!   durable bytes go through `write_atomic`'s temp-sibling + fsync +
-//!   rename protocol);
-//! * [`stable-store-key`](ViolationKind::StableStoreKey) — randomized std
-//!   hashers (`DefaultHasher`/`RandomState`/`SipHasher…`) in store-key
-//!   code. SipHash is seeded per process, so a content key minted by one
-//!   run would never be found by the next; keys go through the registered
-//!   stable hasher (`solarml_trace::FnvHasher`);
-//! * [`scenario-hygiene`](ViolationKind::ScenarioHygiene) — the
-//!   determinism and seed-discipline checks applied to the scenario
-//!   language under one scenario-scoped name (evaluation must be a pure
-//!   function of `(script, seed)`), plus the shipped-`.scn` registry audit
-//!   in [`crate::scan::scan_scenario_scripts`].
+//!   double-counting pattern the unified-scheduler refactor removed.
 //!
 //! All three are lexical like the rest of the lint: they reason over the
 //! token stream from [`crate::lexer`], so a `HashMap` in a doc comment or a
@@ -53,17 +40,11 @@ use crate::{Violation, ViolationKind};
 pub const KNOWN_RULES: &[&str] = &[
     "raw-float-signature",
     "float-eq",
-    "unwrap",
-    "expect",
-    "rc-refcell",
     "fault-path",
     "adhoc-sim-loop",
     "determinism",
     "seed-discipline",
     "ledger-coverage",
-    "atomic-persist",
-    "stable-store-key",
-    "scenario-hygiene",
 ];
 
 /// Methods whose receiver order is the hasher's iteration order.
@@ -99,13 +80,7 @@ pub fn scan_new_families(
     config: &ScanConfig,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    if !(rules.determinism
-        || rules.seed_discipline
-        || rules.ledger_coverage
-        || rules.atomic_persist
-        || rules.stable_store_key
-        || rules.scenario_hygiene)
-    {
+    if !(rules.determinism || rules.seed_discipline || rules.ledger_coverage) {
         return out;
     }
     let tokens = lexer::lex(src);
@@ -121,51 +96,8 @@ pub fn scan_new_families(
     if rules.ledger_coverage {
         scan_ledger_coverage(rel, src, &tokens, &code, &tests, &mut out);
     }
-    if rules.atomic_persist {
-        scan_atomic_persist(rel, src, &tokens, &code, &tests, config, &mut out);
-    }
-    if rules.stable_store_key {
-        scan_stable_store_key(rel, src, &tokens, &code, &tests, &mut out);
-    }
-    if rules.scenario_hygiene {
-        scan_scenario_hygiene(rel, src, &tokens, &code, &tests, config, &mut out);
-    }
     out.sort_by_key(|v| v.line);
     out
-}
-
-/// The scenario-hygiene rule: scenario evaluation must be a pure function
-/// of `(script, seed)` — the node-day store and every golden FleetReport
-/// replay it under that assumption — so the determinism and
-/// seed-discipline checks both apply to scenario code, surfaced under one
-/// scenario-scoped rule name. A `physics-lint:
-/// allow(scenario-hygiene): <reason>` escape suppresses the composite on
-/// its statement (the underlying per-family escapes keep working too,
-/// since the inner scans honor them).
-fn scan_scenario_hygiene(
-    rel: &Path,
-    src: &str,
-    tokens: &[Token],
-    code: &[Token],
-    tests: &[(usize, usize)],
-    config: &ScanConfig,
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "scenario-hygiene");
-    let allowed_lines: HashSet<usize> = allowed
-        .iter()
-        .flat_map(|&(a, b)| line_of(src, a)..=line_of(src, b.min(src.len())))
-        .collect();
-    let mut found = Vec::new();
-    scan_determinism(rel, src, tokens, code, tests, &mut found);
-    scan_seed_discipline(rel, src, tokens, code, tests, config, &mut found);
-    for mut v in found {
-        if allowed_lines.contains(&v.line) {
-            continue;
-        }
-        v.kind = ViolationKind::ScenarioHygiene;
-        out.push(v);
-    }
 }
 
 fn text<'s>(src: &'s str, t: &Token) -> &'s str {
@@ -243,8 +175,8 @@ fn hashed_idents(src: &str, code: &[Token]) -> HashSet<String> {
     out
 }
 
-/// The determinism rule: flags iteration over hashed containers, wall-clock
-/// reads, and ambient OS entropy in non-test library code.
+/// The determinism rule: flags iteration over hashed containers in non-test
+/// library code.
 fn scan_determinism(
     rel: &Path,
     src: &str,
@@ -318,36 +250,6 @@ fn scan_determinism(
                     });
                 }
             }
-        }
-        // Wall clock: `Instant::now` / `SystemTime::now`.
-        if matches!(name, "Instant" | "SystemTime")
-            && is_punct(src, code.get(i + 1), ":")
-            && is_punct(src, code.get(i + 2), ":")
-            && ident_text(src, code.get(i + 3)) == Some("now")
-        {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: t.line,
-                kind: ViolationKind::Determinism,
-                detail: format!(
-                    "`{name}::now()` reads the wall clock — simulated time comes \
-                     from the Scheduler's SimBus; host time may not influence \
-                     results (benchmarking lives in solarml-bench)"
-                ),
-            });
-        }
-        // Ambient OS entropy.
-        if matches!(name, "thread_rng" | "from_entropy") {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: t.line,
-                kind: ViolationKind::Determinism,
-                detail: format!(
-                    "`{name}` draws ambient OS entropy — all randomness must be \
-                     derived from the run seed via `derive_seed(seed, CYCLE_TAG, \
-                     index)` so results replay bit-identically"
-                ),
-            });
         }
     }
 }
@@ -621,119 +523,6 @@ fn scan_ledger_coverage(
     }
 }
 
-/// The atomic-persist rule: `fs::write(…)` and `File::create(…)` in
-/// non-test persistence code are torn-write hazards — a crash between the
-/// create and the final flush leaves a half-written file that checkpoint
-/// recovery must then treat as corruption. All durable bytes go through a
-/// registered atomic-write helper (`write_atomic`: temp sibling + fsync +
-/// rename), whose own body is exempt — the bare syscalls have to live
-/// *somewhere*, and the registry pins where.
-fn scan_atomic_persist(
-    rel: &Path,
-    src: &str,
-    tokens: &[Token],
-    code: &[Token],
-    tests: &[(usize, usize)],
-    config: &ScanConfig,
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "atomic-persist");
-    let helper_bodies: Vec<(usize, usize)> = lexer::fn_items(src, tokens)
-        .into_iter()
-        .filter(|f| config.atomic_write_fns.iter().any(|m| m == &f.name))
-        .map(|f| f.body)
-        .collect();
-    let exempt = |pos: usize| {
-        in_regions(tests, pos) || in_regions(&helper_bodies, pos) || lexer::in_spans(&allowed, pos)
-    };
-    for i in 0..code.len() {
-        let t = &code[i];
-        let Some(name) = ident_text(src, Some(t)) else {
-            continue;
-        };
-        // `fs :: write (` / `File :: create (` — `::` lexes as two `:`
-        // puncts; the qualifier ident sits three tokens back either way
-        // (`std::fs::write` still has `fs` at i-3).
-        let qualifier = match name {
-            "write" => "fs",
-            "create" => "File",
-            _ => continue,
-        };
-        if !is_punct(src, code.get(i + 1), "(")
-            || !is_punct(src, code.get(i.wrapping_sub(1)), ":")
-            || !is_punct(src, code.get(i.wrapping_sub(2)), ":")
-            || ident_text(src, code.get(i.wrapping_sub(3))) != Some(qualifier)
-        {
-            continue;
-        }
-        if exempt(t.start) {
-            continue;
-        }
-        out.push(Violation {
-            file: rel.to_path_buf(),
-            line: t.line,
-            kind: ViolationKind::AtomicPersist,
-            detail: format!(
-                "`{qualifier}::{name}(…)` writes durable bytes non-atomically — a \
-                 crash mid-write leaves a torn file; route through \
-                 `solarml_trace::bytes::write_atomic` (temp sibling + fsync + \
-                 rename), or add \
-                 `// physics-lint: allow(atomic-persist): <reason>`"
-            ),
-        });
-    }
-}
-
-/// Std hasher types whose output is salted per process (`RandomState`) or
-/// whose algorithm std does not guarantee across releases (`DefaultHasher`,
-/// the deprecated `SipHasher` family). Exact ident matches — the lexer
-/// yields whole identifiers, so `BuildHasherDefault` never matches.
-const UNSTABLE_HASHERS: &[&str] = &["DefaultHasher", "RandomState", "SipHasher", "SipHasher13"];
-
-/// The stable-store-key rule: any mention of a randomized/unstable std
-/// hasher in non-test store-key code. Content-addressed store entries are
-/// looked up by recomputing the key in a *different* process than the one
-/// that wrote them; a per-process-seeded hash turns every lookup into a
-/// silent permanent miss (the cache "works" but never hits), and an
-/// algorithm std may change re-keys the whole store on a toolchain bump.
-/// Keys go through the registered stable hasher
-/// (`solarml_trace::FnvHasher`, FNV-1a). Flagging the *type name* rather
-/// than a call shape is deliberate: the `use` line, the construction, and
-/// a type ascription are each independently a finding, so the import alone
-/// fails fast.
-fn scan_stable_store_key(
-    rel: &Path,
-    src: &str,
-    tokens: &[Token],
-    code: &[Token],
-    tests: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "stable-store-key");
-    for t in code {
-        let Some(name) = ident_text(src, Some(t)) else {
-            continue;
-        };
-        if !UNSTABLE_HASHERS.contains(&name) {
-            continue;
-        }
-        if in_regions(tests, t.start) || lexer::in_spans(&allowed, t.start) {
-            continue;
-        }
-        out.push(Violation {
-            file: rel.to_path_buf(),
-            line: t.line,
-            kind: ViolationKind::StableStoreKey,
-            detail: format!(
-                "`{name}` is seeded per process / unstable across std releases — \
-                 a content key minted with it is unfindable by the next run; use \
-                 the registered stable hasher `solarml_trace::FnvHasher`, or add \
-                 `// physics-lint: allow(stable-store-key): <reason>`"
-            ),
-        });
-    }
-}
-
 /// The allow-hygiene check: every `physics-lint: allow(<rule>)` escape must
 /// name a known rule and carry a `: <reason>` trailer. Runs on every
 /// scanned file regardless of which families apply — CI fails on any
@@ -806,8 +595,6 @@ mod tests {
             determinism: true,
             seed_discipline: true,
             ledger_coverage: true,
-            atomic_persist: true,
-            stable_store_key: true,
             ..RuleSet::default()
         }
     }
@@ -854,21 +641,6 @@ impl C {
 }
 ";
         assert!(kinds(src).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_and_entropy_are_flagged() {
-        let src = "\
-fn f() -> u64 {
-    let t = Instant::now();
-    let mut rng = thread_rng();
-    drop(t); drop(rng); 0
-}
-";
-        assert_eq!(
-            kinds(src),
-            vec![ViolationKind::Determinism, ViolationKind::Determinism]
-        );
     }
 
     #[test]
@@ -968,127 +740,9 @@ impl C {
     }
 
     #[test]
-    fn bare_persistence_writes_are_flagged_reads_are_not() {
-        let torn = "fn save(p: &Path, b: &[u8]) -> io::Result<()> { std::fs::write(p, b) }";
-        assert_eq!(kinds(torn), vec![ViolationKind::AtomicPersist]);
-        let create = "fn open(p: &Path) -> io::Result<File> { File::create(p) }";
-        assert_eq!(kinds(create), vec![ViolationKind::AtomicPersist]);
-        let clean = "\
-fn load(p: &Path) -> io::Result<Vec<u8>> { fs::read(p) }
-fn tidy(p: &Path) -> io::Result<()> { fs::remove_file(p) }
-fn buffered(w: &mut impl Write, b: &[u8]) -> io::Result<()> { w.write(b).map(|_| ()) }
-";
-        assert!(kinds(clean).is_empty(), "{:?}", kinds(clean));
-    }
-
-    #[test]
-    fn registered_atomic_helper_bodies_are_exempt() {
-        let src = "\
-fn write_atomic(p: &Path, b: &[u8]) -> io::Result<()> {
-    let tmp = p.with_extension(\"tmp\");
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(b)?;
-    f.sync_all()?;
-    std::fs::rename(&tmp, p)
-}
-fn sneaky(p: &Path, b: &[u8]) -> io::Result<()> { fs::write(p, b) }
-";
-        let vs = scan_new_families(Path::new("crates/t/src/lib.rs"), src, all_rules(), &cfg());
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].line, 8, "only the write outside the helper fires");
-    }
-
-    #[test]
-    fn unstable_hashers_are_flagged_fnv_is_not() {
-        let import = "use std::collections::hash_map::DefaultHasher;";
-        assert_eq!(kinds(import), vec![ViolationKind::StableStoreKey]);
-        let construct = "\
-fn key(node: u64) -> u64 {
-    let state = RandomState::new();
-    let mut h = state.build_hasher();
-    h.write_u64(node);
-    h.finish()
-}
-";
-        assert_eq!(kinds(construct), vec![ViolationKind::StableStoreKey]);
-        let stable = "\
-fn key(node: u64) -> u64 {
-    let mut h = FnvHasher::new();
-    h.write_u64(node);
-    h.finish()
-}
-";
-        assert!(kinds(stable).is_empty(), "{:?}", kinds(stable));
-    }
-
-    #[test]
-    fn build_hasher_default_and_comments_do_not_trip_store_key_rule() {
-        let src = "\
-/// Never key a store with `DefaultHasher` — `RandomState` salts it.
-fn f() -> BuildHasherDefault<FnvHasher> { BuildHasherDefault::default() }
-";
-        assert!(kinds(src).is_empty(), "{:?}", kinds(src));
-    }
-
-    #[test]
-    fn store_key_rule_honors_tests_and_statement_allows() {
-        let src = "\
-fn scratch() -> u64 {
-    // physics-lint: allow(stable-store-key): in-memory dedup, never persisted
-    let mut h = DefaultHasher::new();
-    h.finish()
-}
-#[cfg(test)]
-mod tests {
-    fn t() -> u64 { DefaultHasher::new().finish() }
-}
-";
-        assert!(kinds(src).is_empty(), "{:?}", kinds(src));
-        let unannotated = "fn k() -> u64 { DefaultHasher::new().finish() }";
-        assert_eq!(kinds(unannotated), vec![ViolationKind::StableStoreKey]);
-    }
-
-    #[test]
-    fn scenario_hygiene_relabels_both_families_and_honors_its_own_escape() {
-        let rules = RuleSet {
-            scenario_hygiene: true,
-            ..RuleSet::default()
-        };
-        let src = "\
-fn eval(seed: u64, i: u64) -> u64 {
-    let t = Instant::now();
-    drop(t);
-    seed + i
-}
-fn stream(seed: u64, n: usize) -> u64 {
-    derive_seed(seed, SCENARIO_STREAM_TAG, n)
-}
-fn folded(seed: u64) -> u64 {
-    // physics-lint: allow(scenario-hygiene): legacy parity fold, documented
-    seed ^ 0x9E37_79B9
-}
-";
-        let vs = scan_new_families(Path::new("crates/scenario/src/eval.rs"), src, rules, &cfg());
-        let kinds: Vec<ViolationKind> = vs.iter().map(|v| v.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                ViolationKind::ScenarioHygiene,
-                ViolationKind::ScenarioHygiene
-            ],
-            "{vs:?}"
-        );
-        assert_eq!(vs[0].line, 2, "the clock read fires under the composite");
-        assert_eq!(
-            vs[1].line, 4,
-            "raw seed arithmetic fires under the composite"
-        );
-    }
-
-    #[test]
     fn hygiene_requires_reason_and_known_rule() {
         let src = "\
-fn a() {} // physics-lint: allow(unwrap)
+fn a() {} // physics-lint: allow(float-eq)
 fn b() {} // physics-lint: allow(made-up-rule): whatever
 fn c() {} // physics-lint: allow(determinism): cache is rebuilt before read
 ";
@@ -1098,5 +752,104 @@ fn c() {} // physics-lint: allow(determinism): cache is rebuilt before read
         assert!(vs[0].detail.contains("no reason"));
         assert_eq!(vs[1].line, 2);
         assert!(vs[1].detail.contains("unknown rule"));
+    }
+
+    // The bans below have no lexical rule any more: clippy enforces them
+    // through `crates/fleet/clippy.toml` and `[workspace.lints]`. These
+    // tests pin each retired family to that enforcer by running clippy on
+    // the same shapes the lexical tests used to scan.
+
+    #[test]
+    fn bare_persistence_writes_are_flagged_reads_are_not() {
+        let src = "\
+//! Durable writes and plain reads.
+use std::fs::{self, File};
+use std::io::{self, Write};
+use std::path::Path;
+
+/// A bare write can leave a torn file.
+pub fn save(p: &Path, b: &[u8]) -> io::Result<()> {
+    fs::write(p, b) //~ ERROR clippy::disallowed_methods
+}
+
+/// So can a bare create.
+pub fn open(p: &Path) -> io::Result<File> {
+    File::create(p) //~ ERROR clippy::disallowed_methods
+}
+
+/// Reads, removals and writes through a caller's handle are fine.
+pub fn load(p: &Path, w: &mut impl Write) -> io::Result<Vec<u8>> {
+    fs::remove_file(p.with_extension(\"tmp\"))?;
+    let bytes = fs::read(p)?;
+    w.write_all(&bytes)?;
+    Ok(bytes)
+}
+";
+        crate::clippy::assert_clippy_matches("snippet-atomic-persist", src);
+    }
+
+    #[test]
+    fn unstable_hashers_are_flagged_fnv_is_not() {
+        let src = "\
+//! Store-key hashers.
+use std::collections::hash_map::DefaultHasher; //~ ERROR clippy::disallowed_types
+use std::hash::{BuildHasher, Hasher};
+
+/// FNV-1a: the same digest in every run and every std release.
+pub struct FnvHasher(u64);
+
+impl Hasher for FnvHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// A stable key.
+pub fn key(node: u64) -> u64 {
+    let mut h = FnvHasher(0xcbf2_9ce4_8422_2325);
+    h.write_u64(node);
+    h.finish()
+}
+
+/// A key salted per process.
+pub fn salted(node: u64) -> u64 {
+    let state = std::hash::RandomState::new(); //~ ERROR clippy::disallowed_types
+    state.hash_one(node)
+}
+
+/// SipHash under its re-exported name.
+pub fn sip() -> DefaultHasher {
+    //~^ ERROR clippy::disallowed_types
+    DefaultHasher::new() //~ ERROR clippy::disallowed_types
+}
+";
+        crate::clippy::assert_clippy_matches("snippet-stable-store-key", src);
+    }
+
+    #[test]
+    fn wall_clock_and_entropy_are_flagged() {
+        let src = "\
+//! Host time and ambient entropy.
+use rand::thread_rng;
+use std::time::{Duration, Instant};
+
+/// Reads the host clock and the OS entropy pool.
+pub fn f() -> u64 {
+    let t = Instant::now(); //~ ERROR clippy::disallowed_methods
+    let mut rng = thread_rng(); //~ ERROR clippy::disallowed_methods
+    u64::from(t.elapsed().subsec_nanos()) ^ rand::RngCore::next_u64(&mut rng)
+}
+
+/// A duration is a plain value, not a clock read.
+pub fn tick() -> Duration {
+    Duration::from_millis(1)
+}
+";
+        crate::clippy::assert_clippy_matches("snippet-wall-clock", src);
     }
 }

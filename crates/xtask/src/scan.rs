@@ -9,9 +9,11 @@
 //! `==`, a textual `f64` inside a `pub fn` signature, an ident *declared*
 //! as a `HashMap`) — everything type-aware is delegated to the clippy gate.
 //!
-//! This module owns the classic families (signatures, unwrap/expect,
-//! float-eq, Rc/RefCell, fault-path, ad-hoc sim loops) plus the policy
-//! plumbing; the determinism families live in [`crate::rules`].
+//! This module owns the classic families (signatures, float-eq, fault-path,
+//! ad-hoc sim loops) plus the policy plumbing; the determinism families
+//! live in [`crate::rules`]. Bans clippy resolves by type (`unwrap`/`expect`
+//! in library code, the per-crate `clippy.toml` disallowed lists) have no
+//! lexical copy here.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -26,13 +28,10 @@ pub struct ScanConfig {
     /// Crates (by `crates/<name>` directory name) whose public signatures
     /// must use `solarml-units` newtypes instead of raw floats.
     pub signature_crates: Vec<String>,
-    /// Crates whose non-test library code may not call `unwrap`/`expect`
-    /// or compare floats with `==`.
-    pub strict_crates: Vec<String>,
-    /// Crates whose non-test library code may not introduce `Rc<` or
-    /// `RefCell<`: their state is shared across the worker threads of the
-    /// parallel evaluation engine and must stay `Send + Sync`.
-    pub sendsync_crates: Vec<String>,
+    /// Crates whose non-test library code may not compare floats with `==`
+    /// against a literal (rule `float-eq`; clippy's `float_cmp` skips the
+    /// `x == 0.0` case).
+    pub float_eq_crates: Vec<String>,
     /// Workspace-relative files on the brownout/fault path where
     /// `unwrap`/`expect` are forbidden *everywhere* — tests included, no
     /// inline escapes, no allow-list. A panic in fault-handling code is
@@ -43,8 +42,9 @@ pub struct ScanConfig {
     /// `solarml_sim::Scheduler` so the workspace keeps one clock and one
     /// energy ledger. The scheduler crate itself is exempt by omission.
     pub sim_loop_crates: Vec<String>,
-    /// Crates whose non-test library code may not iterate hashed containers,
-    /// read the wall clock, or draw ambient OS entropy (rule `determinism`).
+    /// Crates whose non-test library code may not iterate hashed containers
+    /// (rule `determinism`). Only crates whose `clippy.toml` allows
+    /// `HashMap`/`HashSet` belong here; elsewhere clippy rejects the type.
     pub determinism_crates: Vec<String>,
     /// Crates whose non-test library code may not do raw seed arithmetic
     /// outside a sanctioned mixer function (rule `seed-discipline`).
@@ -53,32 +53,6 @@ pub struct ScanConfig {
     /// side-channel accumulators (rule `ledger-coverage`). The `sim` crate
     /// is exempt by omission: it is where `SimBus`/`EnergyAudit` live.
     pub ledger_crates: Vec<String>,
-    /// Crates holding persistence code (checkpoints, durable snapshots):
-    /// their non-test library code may not call `fs::write`/`File::create`
-    /// outside a registered atomic-write helper (rule `atomic-persist`).
-    /// A crash mid-write would leave a torn file that resume has to treat
-    /// as corruption.
-    pub persist_crates: Vec<String>,
-    /// Crates that mint or look up content-addressed store keys: their
-    /// non-test library code may not mention a randomized/unstable std
-    /// hasher (`DefaultHasher`/`RandomState`/`SipHasher…`, rule
-    /// `stable-store-key`). A per-process-salted hash makes every cache
-    /// lookup a silent permanent miss; keys go through the registered
-    /// stable hasher (`solarml_trace::FnvHasher`).
-    pub store_key_crates: Vec<String>,
-    /// Crates holding the scenario language (rule `scenario-hygiene`):
-    /// their non-test library code gets the determinism *and*
-    /// seed-discipline checks under one scenario-scoped rule name, because
-    /// a clock read or an ad-hoc seed stream in the evaluator silently
-    /// invalidates every golden FleetReport keyed on a script's resolved
-    /// content. [`scan_workspace`] additionally audits the shipped `.scn`
-    /// registry under `crates/scenario/scenarios/` (headers, unique names,
-    /// registration).
-    pub scenario_crates: Vec<String>,
-    /// Sanctioned atomic-write helper functions; their bodies are exempt
-    /// from the atomic-persist rule (the bare syscalls have to live
-    /// *somewhere*, and this registry pins where).
-    pub atomic_write_fns: Vec<String>,
     /// Registered cycle-tag constants: the only names whose use in seed
     /// arithmetic (and as `derive_seed` cycle arguments) is sanctioned.
     /// Registering a tag here is the reviewed act that reserves its stream.
@@ -91,51 +65,34 @@ pub struct ScanConfig {
 }
 
 impl ScanConfig {
-    /// The shipped policy: the five physics crates get both rule families;
-    /// `units`, `fleet` and the user-facing `cli` get the strict rules;
-    /// `nas`, `nn` and `fleet` get the `Send + Sync` rule (fleet state
-    /// crosses the campaign worker threads); `fleet` also gets the
-    /// sim-loop rule (campaigns must drive days through the scheduler) but
-    /// not the signature rule — its sampling distributions legitimately
-    /// traffic in raw `f64` parameters.
+    /// The shipped policy: the five physics crates get the signature,
+    /// float-eq and sim-loop rules; `units`, `fleet` and the user-facing
+    /// `cli` get float-eq; `fleet` also gets the sim-loop rule (campaigns
+    /// must drive days through the scheduler) but not the signature rule —
+    /// its sampling distributions legitimately traffic in raw `f64`
+    /// parameters.
     pub fn default_policy(allow: AllowList) -> Self {
         let physics = ["circuit", "mcu", "energy", "platform", "trace"];
-        let mut strict: Vec<String> = physics.iter().map(|s| s.to_string()).collect();
-        strict.push("units".to_string());
-        strict.push("cli".to_string());
-        strict.push("fleet".to_string());
-        let mut sim_loop: Vec<String> = physics.iter().map(|s| s.to_string()).collect();
-        sim_loop.push("fleet".to_string());
         let to_vec = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let with = |extra: &[&str]| to_vec(&[&physics[..], extra].concat());
         Self {
-            signature_crates: physics.iter().map(|s| s.to_string()).collect(),
-            strict_crates: strict,
-            sendsync_crates: vec!["nas".to_string(), "nn".to_string(), "fleet".to_string()],
+            signature_crates: to_vec(&physics),
+            float_eq_crates: with(&["units", "cli", "fleet"]),
             fault_path_files: vec![
                 PathBuf::from("crates/circuit/src/fault.rs"),
                 PathBuf::from("crates/platform/src/intermittent.rs"),
             ],
-            sim_loop_crates: sim_loop,
-            // Everything that feeds a published result: the engine crates
-            // from the ISSUE plus `energy` (its lookup tables are cached
-            // and serialized, so iteration order reaches bytes on disk).
-            determinism_crates: to_vec(&[
-                "sim", "circuit", "mcu", "energy", "platform", "fleet", "nas",
-            ]),
+            sim_loop_crates: with(&["fleet"]),
+            // The one determinism crate whose clippy.toml allows HashMap
+            // (ShardedMap is lookup-only); every other determinism crate
+            // bans the type outright, so iteration cannot happen there.
+            determinism_crates: to_vec(&["nas"]),
             // `energy` is deliberately absent: its xorshift lives in local
             // regression-bootstrap helpers that never share streams.
-            seed_crates: to_vec(&["sim", "circuit", "mcu", "platform", "fleet", "nas"]),
+            seed_crates: to_vec(&[
+                "sim", "circuit", "mcu", "platform", "fleet", "nas", "scenario",
+            ]),
             ledger_crates: to_vec(&["circuit", "mcu", "platform", "fleet"]),
-            // The crates that own checkpoint bytes: `trace` holds the codec
-            // + `write_atomic`, `fleet` holds the campaign snapshots.
-            persist_crates: to_vec(&["fleet", "trace"]),
-            // The crates that derive node-day store keys: `fleet` owns the
-            // task/key layer, `trace` owns the FNV codec the keys hash with.
-            store_key_crates: to_vec(&["fleet", "trace"]),
-            // The scenario evaluator: everything it computes is replayed
-            // from `(script, seed)` by cache lookups and golden reports.
-            scenario_crates: to_vec(&["scenario"]),
-            atomic_write_fns: to_vec(&["write_atomic"]),
             seed_tags: to_vec(&[
                 "FLEET_SEED_CYCLE",
                 "FAULT_STREAM_TAG",
@@ -266,8 +223,7 @@ pub fn scan_source(
     rel: &Path,
     src: &str,
     check_signatures: bool,
-    check_strict: bool,
-    check_sendsync: bool,
+    check_float_eq: bool,
     allow: &AllowList,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -281,53 +237,11 @@ pub fn scan_source(
     if check_signatures {
         scan_pub_fn_signatures(rel, src, &blanked, &tests, allow, &mut out);
     }
-    if check_strict {
-        scan_unwraps(rel, src, &tokens, &blanked, &tests, &mut out);
+    if check_float_eq {
         scan_float_eq(rel, src, &tokens, &blanked, &tests, &mut out);
-    }
-    if check_sendsync {
-        scan_rc_refcell(rel, src, &tokens, &blanked, &tests, &mut out);
     }
     out.sort_by_key(|v| v.line);
     out
-}
-
-/// Flags `Rc<` and `RefCell<` in non-test library code. Single-threaded
-/// shared state in `nas`/`nn` would make `TaskContext` `!Send`/`!Sync`
-/// again and silently break the parallel evaluation engine; use
-/// `Arc`/`RwLock`/`Mutex` (or the `ShardedMap` in `nas::parallel`) instead.
-/// The ident-boundary check keeps `Arc<` from matching `Rc<`.
-fn scan_rc_refcell(
-    rel: &Path,
-    src: &str,
-    tokens: &[lexer::Token],
-    blanked: &str,
-    tests: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "rc-refcell");
-    let b = blanked.as_bytes();
-    for needle in ["Rc<", "RefCell<"] {
-        for (pos, _) in blanked.match_indices(needle) {
-            if pos > 0 && is_ident_byte(b[pos - 1]) {
-                continue;
-            }
-            if in_regions(tests, pos) || lexer::in_spans(&allowed, pos) {
-                continue;
-            }
-            let line = line_of(src, pos);
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line,
-                kind: ViolationKind::RcRefCell,
-                detail: format!(
-                    "`{needle}…` is not Send/Sync — use Arc/RwLock (or \
-                     nas::parallel::ShardedMap), or add \
-                     `// physics-lint: allow(rc-refcell)` with a reason"
-                ),
-            });
-        }
-    }
 }
 
 fn scan_pub_fn_signatures(
@@ -423,37 +337,6 @@ fn scan_pub_fn_signatures(
             });
         }
         i = sig_end;
-    }
-}
-
-fn scan_unwraps(
-    rel: &Path,
-    src: &str,
-    tokens: &[lexer::Token],
-    blanked: &str,
-    tests: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    for (needle, kind, rule) in [
-        (".unwrap()", ViolationKind::Unwrap, "unwrap"),
-        (".expect(", ViolationKind::Expect, "expect"),
-    ] {
-        let allowed = lexer::allow_spans(src, tokens, rule);
-        for (pos, _) in blanked.match_indices(needle) {
-            if in_regions(tests, pos) || lexer::in_spans(&allowed, pos) {
-                continue;
-            }
-            let line = line_of(src, pos);
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line,
-                kind,
-                detail: format!(
-                    "`{needle}…` in library code — thread a Result or use \
-                     `// physics-lint: allow({rule})` with a reason"
-                ),
-            });
-        }
     }
 }
 
@@ -698,10 +581,8 @@ pub fn scan_sim_loops(rel: &Path, src: &str, allow: &AllowList) -> Vec<Violation
 pub struct RuleSet {
     /// raw-float-signature
     pub signatures: bool,
-    /// unwrap / expect / float-eq
-    pub strict: bool,
-    /// rc-refcell
-    pub sendsync: bool,
+    /// float-eq
+    pub float_eq: bool,
     /// adhoc-sim-loop
     pub sim_loops: bool,
     /// determinism
@@ -710,13 +591,6 @@ pub struct RuleSet {
     pub seed_discipline: bool,
     /// ledger-coverage
     pub ledger_coverage: bool,
-    /// atomic-persist
-    pub atomic_persist: bool,
-    /// stable-store-key
-    pub stable_store_key: bool,
-    /// scenario-hygiene (determinism + seed-discipline under one
-    /// scenario-scoped rule name)
-    pub scenario_hygiene: bool,
     /// fault-path (unwrap/expect everywhere, no escapes)
     pub fault_path: bool,
 }
@@ -726,14 +600,7 @@ pub struct RuleSet {
 /// the allow-hygiene check (which runs whenever *any* family does — an
 /// unexplained escape is a finding regardless of which rule it names).
 pub fn scan_file(rel: &Path, src: &str, rules: RuleSet, config: &ScanConfig) -> Vec<Violation> {
-    let mut out = scan_source(
-        rel,
-        src,
-        rules.signatures,
-        rules.strict,
-        rules.sendsync,
-        &config.allow,
-    );
+    let mut out = scan_source(rel, src, rules.signatures, rules.float_eq, &config.allow);
     if !config.allow.allows(rel, "*") {
         if rules.sim_loops {
             out.extend(scan_sim_loops(rel, src, &config.allow));
@@ -755,15 +622,11 @@ pub fn scan_workspace(root: &Path, config: &ScanConfig) -> std::io::Result<Vec<V
     let mut crates: Vec<&String> = config
         .signature_crates
         .iter()
-        .chain(config.strict_crates.iter())
-        .chain(config.sendsync_crates.iter())
+        .chain(config.float_eq_crates.iter())
         .chain(config.sim_loop_crates.iter())
         .chain(config.determinism_crates.iter())
         .chain(config.seed_crates.iter())
         .chain(config.ledger_crates.iter())
-        .chain(config.persist_crates.iter())
-        .chain(config.store_key_crates.iter())
-        .chain(config.scenario_crates.iter())
         .collect();
     crates.sort();
     crates.dedup();
@@ -771,15 +634,11 @@ pub fn scan_workspace(root: &Path, config: &ScanConfig) -> std::io::Result<Vec<V
         let has = |list: &[String]| list.iter().any(|c| c == name);
         let rules = RuleSet {
             signatures: has(&config.signature_crates),
-            strict: has(&config.strict_crates),
-            sendsync: has(&config.sendsync_crates),
+            float_eq: has(&config.float_eq_crates),
             sim_loops: has(&config.sim_loop_crates),
             determinism: has(&config.determinism_crates),
             seed_discipline: has(&config.seed_crates),
             ledger_coverage: has(&config.ledger_crates),
-            atomic_persist: has(&config.persist_crates),
-            stable_store_key: has(&config.store_key_crates),
-            scenario_hygiene: has(&config.scenario_crates),
             fault_path: false, // fault-path scoping is per file, below
         };
         let src_dir = root.join("crates").join(name).join("src");
@@ -797,96 +656,7 @@ pub fn scan_workspace(root: &Path, config: &ScanConfig) -> std::io::Result<Vec<V
         let text = std::fs::read_to_string(&path)?;
         out.extend(scan_fault_path(rel, &text));
     }
-    if !config.scenario_crates.is_empty() {
-        out.extend(scan_scenario_scripts(root)?);
-    }
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(out)
-}
-
-/// The registry half of the scenario-hygiene rule: audits the shipped
-/// `.scn` scripts under `crates/scenario/scenarios/`. Each script must
-/// open with a `# <name>: <description>` header whose name equals the file
-/// stem (the registry resolves scripts by that name, and `scenario show`
-/// prints the header as documentation), names must be unique across the
-/// directory, and every script must actually be included by `registry.rs`
-/// — a script on disk that the registry does not ship is a silently dead
-/// scenario the CLI can no longer find by name.
-pub fn scan_scenario_scripts(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let dir = root.join("crates/scenario/scenarios");
-    let mut out = Vec::new();
-    if !dir.exists() {
-        return Ok(out);
-    }
-    let registry_src =
-        std::fs::read_to_string(root.join("crates/scenario/src/registry.rs")).unwrap_or_default();
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)?
-        .map(|e| e.map(|e| e.path()))
-        .collect::<std::io::Result<Vec<_>>>()?;
-    files.retain(|p| p.extension().is_some_and(|e| e == "scn"));
-    files.sort();
-    let mut seen: HashSet<String> = HashSet::new();
-    for file in &files {
-        let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
-        let stem = file
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let text = std::fs::read_to_string(file)?;
-        let header_name = text.lines().next().and_then(|l| {
-            let body = l.strip_prefix('#')?.trim_start();
-            let (name, desc) = body.split_once(':')?;
-            (!desc.trim().is_empty()).then(|| name.trim().to_string())
-        });
-        match header_name {
-            None => out.push(Violation {
-                file: rel.clone(),
-                line: 1,
-                kind: ViolationKind::ScenarioHygiene,
-                detail: "shipped script must open with a `# <name>: <description>` \
-                         header — `scenario show` prints it as the scenario's \
-                         documentation"
-                    .to_string(),
-            }),
-            Some(name) => {
-                if name != stem {
-                    out.push(Violation {
-                        file: rel.clone(),
-                        line: 1,
-                        kind: ViolationKind::ScenarioHygiene,
-                        detail: format!(
-                            "header names `{name}` but the file stem is `{stem}` — \
-                             the registry resolves scripts by stem, so the two must \
-                             agree"
-                        ),
-                    });
-                }
-                if !seen.insert(name.clone()) {
-                    out.push(Violation {
-                        file: rel.clone(),
-                        line: 1,
-                        kind: ViolationKind::ScenarioHygiene,
-                        detail: format!(
-                            "scenario name `{name}` is declared by more than one \
-                             shipped script — registry names must be unique"
-                        ),
-                    });
-                }
-            }
-        }
-        if !registry_src.contains(&format!("{stem}.scn")) {
-            out.push(Violation {
-                file: rel,
-                line: 1,
-                kind: ViolationKind::ScenarioHygiene,
-                detail: format!(
-                    "`{stem}.scn` is not included by `registry.rs` — a script on \
-                     disk the registry does not ship is a dead scenario the CLI \
-                     cannot find by name"
-                ),
-            });
-        }
-    }
     Ok(out)
 }
 
@@ -945,7 +715,6 @@ mod tests {
             src,
             true,
             false,
-            false,
             &AllowList::default(),
         );
         assert_eq!(kinds(&vs), vec![ViolationKind::RawFloatSignature]);
@@ -955,7 +724,6 @@ mod tests {
             src,
             false,
             true,
-            false,
             &AllowList::default(),
         );
         assert!(vs.is_empty());
@@ -964,28 +732,14 @@ mod tests {
     #[test]
     fn detects_float_return_type() {
         let src = "pub fn efficiency(&self) -> f64 { 0.0 }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            true,
-            false,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan_source(Path::new("a.rs"), src, true, false, &AllowList::default());
         assert_eq!(kinds(&vs), vec![ViolationKind::RawFloatSignature]);
     }
 
     #[test]
     fn closure_param_floats_are_flagged() {
         let src = "pub fn step(&mut self, shading: impl Fn(usize) -> f64) -> SimStep { todo!() }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            true,
-            false,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan_source(Path::new("a.rs"), src, true, false, &AllowList::default());
         assert_eq!(kinds(&vs), vec![ViolationKind::RawFloatSignature]);
     }
 
@@ -993,42 +747,21 @@ mod tests {
     fn units_newtype_signature_is_clean() {
         let src = "pub fn power(&self, lux: Lux, shading: Ratio) -> Power { todo!() }\n\
                    pub fn raw(&self) -> Vec<u64> { vec![] }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            true,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan_source(Path::new("a.rs"), src, true, true, &AllowList::default());
         assert!(vs.is_empty(), "{vs:?}");
     }
 
     #[test]
     fn pub_crate_fns_are_exempt() {
         let src = "pub(crate) fn helper(x: f64) -> f64 { x }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            true,
-            false,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan_source(Path::new("a.rs"), src, true, false, &AllowList::default());
         assert!(vs.is_empty());
     }
 
     #[test]
     fn body_floats_do_not_trip_signature_rule() {
         let src = "pub fn tidy(&self) -> Power {\n    let x: f64 = 1.0;\n    Power::new(x)\n}";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            true,
-            false,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan_source(Path::new("a.rs"), src, true, false, &AllowList::default());
         assert!(vs.is_empty());
     }
 
@@ -1038,56 +771,17 @@ mod tests {
             "pub fn mean(xs: &[f64]) -> f64 { 0.0 }\npub fn median(xs: &[f64]) -> f64 { 0.0 }";
         let allow = AllowList::parse("crates/trace/src/stats.rs::mean\n# comment\n");
         let rel = Path::new("crates/trace/src/stats.rs");
-        let vs = scan_source(rel, src, true, false, false, &allow);
+        let vs = scan_source(rel, src, true, false, &allow);
         assert_eq!(vs.len(), 1);
         assert!(vs[0].detail.contains("median"));
         let allow_all = AllowList::parse("crates/trace/src/stats.rs::*");
-        assert!(scan_source(rel, src, true, false, false, &allow_all).is_empty());
-    }
-
-    #[test]
-    fn detects_unwrap_and_expect_outside_tests() {
-        let src = "fn go() { let x = maybe().unwrap(); let y = other().expect(\"boom\"); }\n\
-                   #[cfg(test)]\nmod tests {\n    fn t() { let _ = maybe().unwrap(); }\n}";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
-        assert_eq!(
-            kinds(&vs),
-            vec![ViolationKind::Unwrap, ViolationKind::Expect]
-        );
-    }
-
-    #[test]
-    fn inline_marker_suppresses_unwrap() {
-        let src = "fn go() { let x = lock().unwrap(); } // physics-lint: allow(unwrap): poisoned lock is fatal";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
-        assert!(vs.is_empty());
+        assert!(scan_source(rel, src, true, false, &allow_all).is_empty());
     }
 
     #[test]
     fn detects_float_eq_against_literal() {
         let src = "fn go(x: f64) -> bool { x == 0.0 }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan_source(Path::new("a.rs"), src, false, true, &AllowList::default());
         assert_eq!(kinds(&vs), vec![ViolationKind::FloatEq]);
         let src_neq = "fn go(x: f64) -> bool { 1.5e-3 != x }";
         let vs = scan_source(
@@ -1095,7 +789,6 @@ mod tests {
             src_neq,
             false,
             true,
-            false,
             &AllowList::default(),
         );
         assert_eq!(kinds(&vs), vec![ViolationKind::FloatEq]);
@@ -1104,103 +797,24 @@ mod tests {
     #[test]
     fn integer_eq_and_comparisons_are_fine() {
         let src = "fn go(x: usize, y: f64) -> bool { x == 3 && y >= 0.0 && y <= 1.0 }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan_source(Path::new("a.rs"), src, false, true, &AllowList::default());
         assert!(vs.is_empty(), "{vs:?}");
     }
 
     #[test]
     fn float_eq_in_doc_comment_is_ignored() {
         let src = "/// Returns true when `x == 0.0`.\nfn go(x: u64) -> bool { x == 0 }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan_source(Path::new("a.rs"), src, false, true, &AllowList::default());
         assert!(vs.is_empty());
     }
 
     #[test]
     fn test_region_masking_handles_nested_braces() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn deep() { if true { x.unwrap(); } }\n}\n\
-                   fn live() { y.unwrap(); }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let src = "#[cfg(test)]\nmod tests {\n    fn deep() { if true { x == 1.0; } }\n}\n\
+                   fn live() { y == 1.0; }";
+        let vs = scan_source(Path::new("a.rs"), src, false, true, &AllowList::default());
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].line, 5);
-    }
-
-    #[test]
-    fn detects_rc_and_refcell_outside_tests() {
-        let src = "use std::rc::Rc;\nstruct S { cache: Rc<RefCell<Vec<u8>>> }\n\
-                   #[cfg(test)]\nmod tests {\n    fn t() { let _: Rc<u8> = todo!(); }\n}";
-        let vs = scan_source(
-            Path::new("crates/nas/src/task.rs"),
-            src,
-            false,
-            false,
-            true,
-            &AllowList::default(),
-        );
-        assert_eq!(
-            kinds(&vs),
-            vec![ViolationKind::RcRefCell, ViolationKind::RcRefCell]
-        );
-        assert_eq!(vs[0].line, 2);
-        // Rule family off: the same source is clean.
-        let vs = scan_source(
-            Path::new("crates/nas/src/task.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
-        assert!(vs.is_empty(), "{vs:?}");
-    }
-
-    #[test]
-    fn arc_and_rwlock_do_not_trip_rc_rule() {
-        let src = "struct S { cache: Arc<RwLock<Vec<u8>>>, weak: std::sync::Weak<u8> }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            false,
-            true,
-            &AllowList::default(),
-        );
-        assert!(vs.is_empty(), "{vs:?}");
-    }
-
-    #[test]
-    fn inline_marker_suppresses_rc_refcell() {
-        let src =
-            "type Scratch = RefCell<Vec<u8>>; // physics-lint: allow(rc-refcell): thread-local";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            false,
-            true,
-            &AllowList::default(),
-        );
-        assert!(vs.is_empty(), "{vs:?}");
     }
 
     #[test]
@@ -1311,5 +925,67 @@ fn run(sim: &mut Sim) {\n\
         for no in ["1", "x", "0x1e", "len", "f64", "Power", "1_000"] {
             assert!(!is_float_literal(no), "{no} should NOT be a float literal");
         }
+    }
+
+    // `unwrap`/`expect` in library code and `Rc`/`RefCell` have no lexical
+    // rule any more: clippy enforces them. These tests pin each retired
+    // family to that enforcer. The gate lints `--lib`, so test code is
+    // outside its reach, as it was outside the lexical rules'.
+
+    #[test]
+    fn detects_unwrap_and_expect_outside_tests() {
+        let src = "\
+//! Panics in library code.
+
+/// `unwrap` and `expect` outside tests.
+pub fn go(maybe: Option<u8>, other: Option<u8>) -> u8 {
+    let x = maybe.unwrap(); //~ ERROR clippy::unwrap_used
+    let y = other.expect(\"boom\"); //~ ERROR clippy::expect_used
+    x.wrapping_add(y)
+}
+
+/// The non-panicking spellings are fine.
+pub fn total(maybe: Option<u8>) -> u8 {
+    maybe.unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        let _ = Some(1u8).unwrap();
+    }
+}
+";
+        crate::clippy::assert_clippy_matches("snippet-unwrap", src);
+    }
+
+    #[test]
+    fn detects_rc_and_refcell_outside_tests() {
+        let src = "\
+//! Shared state.
+use std::cell::RefCell; //~ ERROR clippy::disallowed_types
+use std::rc::Rc; //~ ERROR clippy::disallowed_types
+use std::sync::{Arc, RwLock};
+
+/// Not `Send`/`Sync`.
+pub struct S {
+    /// A cache the worker threads cannot share.
+    pub cache: Rc<RefCell<Vec<u8>>>,
+    //~^ ERROR clippy::disallowed_types
+    //~^^ ERROR clippy::disallowed_types
+    /// The thread-safe spelling.
+    pub shared: Arc<RwLock<Vec<u8>>>,
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        let _ = std::rc::Rc::new(std::cell::RefCell::new(0u8));
+    }
+}
+";
+        crate::clippy::assert_clippy_matches("snippet-rc-refcell", src);
     }
 }

@@ -43,35 +43,35 @@ fn corpus_fixtures_match_expectations() {
 #[test]
 fn harness_rejects_unexpected_finding() {
     let src = "\
-// lint-rules: strict
-pub fn f(v: Option<u32>) -> u32 {
-    v.unwrap()
+// lint-rules: float-eq
+pub fn f(v: f64) -> bool {
+    v == 1.5
 }
 ";
     let err = check_fixture(Path::new("broken.rs"), src)
         .expect_err("an unannotated finding must fail the fixture");
-    assert!(err.contains("unexpected `unwrap` on line 3"), "{err}");
+    assert!(err.contains("unexpected `float-eq` on line 3"), "{err}");
 }
 
 #[test]
 fn harness_rejects_stale_expectation() {
     let src = "\
-// lint-rules: strict
+// lint-rules: float-eq
 pub fn f() -> u32 {
-    0 //~ ERROR unwrap
+    0 //~ ERROR float-eq
 }
 ";
     let err = check_fixture(Path::new("stale.rs"), src)
         .expect_err("an expectation that does not fire must fail the fixture");
     assert!(
-        err.contains("expected `unwrap` on line 3 — did not fire"),
+        err.contains("expected `float-eq` on line 3 — did not fire"),
         "{err}"
     );
 }
 
 #[test]
 fn harness_rejects_unknown_family_header() {
-    let src = "// lint-rules: strictt\n";
+    let src = "// lint-rules: float-eqq\n";
     let err = check_fixture(Path::new("typo.rs"), src).expect_err("typo must be rejected");
     assert!(err.contains("unknown lint-rules family"), "{err}");
 }

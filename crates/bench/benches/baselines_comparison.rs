@@ -7,8 +7,8 @@
 
 use rand::SeedableRng;
 use solarml::nas::{
-    run_enas, run_harvnet_style, run_munas, run_random_search, BaselineConfig, EnasConfig,
-    Evaluated, MunasConfig, TaskContext,
+    run_enas, run_harvnet_style, run_munas, run_random_search, EnasConfig, Evaluated, SearchConfig,
+    TaskContext,
 };
 use solarml::nn::TrainConfig;
 use solarml_bench::{full_scale, header};
@@ -56,12 +56,12 @@ fn main() {
     let munas = run_munas(
         &ctx,
         sensing,
-        &MunasConfig {
+        &SearchConfig {
             population,
             sample_size,
             cycles,
             seed: 0x33A5,
-            ..MunasConfig::quick()
+            ..SearchConfig::munas_quick()
         },
     );
     describe(
@@ -70,12 +70,12 @@ fn main() {
         munas.history.len(),
     );
 
-    let baseline_cfg = BaselineConfig {
+    let baseline_cfg = SearchConfig {
         population,
         sample_size,
         cycles,
         seed: 0xBA5E,
-        ..BaselineConfig::quick()
+        ..SearchConfig::baseline_quick()
     };
     let harvnet = run_harvnet_style(&ctx, &baseline_cfg);
     describe("HarvNet-style A/E", &harvnet.best, harvnet.history.len());

@@ -5,7 +5,7 @@
 //! `SOLARML_FULL=1`), then prices the winners end-to-end.
 
 use solarml::energy::device::{AudioSensingGround, GestureSensingGround, InferenceGround};
-use solarml::nas::{run_enas, run_munas, EnasConfig, MunasConfig, SensingConfig, TaskContext};
+use solarml::nas::{run_enas, run_munas, EnasConfig, SearchConfig, SensingConfig, TaskContext};
 use solarml::nn::TrainConfig;
 use solarml::platform::{harvesting_time, EndToEndBudget, HarvestScenario};
 use solarml::{Energy, Seconds};
@@ -22,9 +22,9 @@ fn true_split(sensing: SensingConfig, spec: &solarml::nn::ModelSpec) -> (Energy,
 
 fn run_task(name: &str, mut ctx: TaskContext, full: bool) -> (Energy, Energy) {
     let (enas_cfg, munas_cfg, epochs) = if full {
-        (EnasConfig::paper(0.5), MunasConfig::paper(), 15)
+        (EnasConfig::paper(0.5), SearchConfig::munas_paper(), 15)
     } else {
-        (EnasConfig::quick(0.5), MunasConfig::quick(), 8)
+        (EnasConfig::quick(0.5), SearchConfig::munas_quick(), 8)
     };
     ctx.train_config = TrainConfig {
         epochs,
@@ -63,7 +63,7 @@ fn run_task(name: &str, mut ctx: TaskContext, full: bool) -> (Energy, Energy) {
         let out = run_munas(
             &ctx,
             sensing,
-            &MunasConfig {
+            &SearchConfig {
                 seed: munas_cfg.seed + i,
                 ..munas_cfg
             },

@@ -6,13 +6,13 @@
 //! 20 µNAS configurations.
 
 use rand::SeedableRng;
-use solarml::nas::{pareto_front, run_enas, run_munas, EnasConfig, MunasConfig, TaskContext};
+use solarml::nas::{pareto_front, run_enas, run_munas, EnasConfig, SearchConfig, TaskContext};
 use solarml::nn::TrainConfig;
 use solarml_bench::{full_scale, header};
 
 struct Scale {
     enas: fn(f64) -> EnasConfig,
-    munas: MunasConfig,
+    munas: SearchConfig,
     munas_configs: usize,
     samples_per_class: usize,
     epochs: usize,
@@ -22,7 +22,7 @@ fn scale() -> Scale {
     if full_scale() {
         Scale {
             enas: EnasConfig::paper,
-            munas: MunasConfig::paper(),
+            munas: SearchConfig::munas_paper(),
             munas_configs: 20,
             samples_per_class: 20,
             epochs: 15,
@@ -36,12 +36,12 @@ fn scale() -> Scale {
                 grid_period: 7,
                 ..EnasConfig::quick(l)
             },
-            munas: MunasConfig {
+            munas: SearchConfig {
                 population: 10,
                 sample_size: 5,
                 cycles: 20,
                 seed: 0x33A5,
-                ..MunasConfig::quick()
+                ..SearchConfig::munas_quick()
             },
             munas_configs: 6,
             samples_per_class: 12,
@@ -79,7 +79,7 @@ fn run_task(name: &str, mut ctx: TaskContext, s: &Scale) {
     let mut munas_points = Vec::new();
     for i in 0..s.munas_configs {
         let sensing = ctx.random_sensing(&mut rng);
-        let cfg = MunasConfig {
+        let cfg = SearchConfig {
             seed: s.munas.seed + i as u64,
             ..s.munas
         };

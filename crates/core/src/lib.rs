@@ -40,7 +40,7 @@ pub use solarml_trace as trace;
 pub use solarml_units as units;
 
 pub use solarml_nas::{
-    pareto_front, run_enas, run_munas, Candidate, EnasConfig, Evaluated, MunasConfig,
+    pareto_front, run_enas, run_munas, Candidate, EnasConfig, Evaluated, SearchConfig,
     SearchOutcome, SensingConfig, TaskContext,
 };
 pub use solarml_platform::{harvesting_time, EndToEndBudget, HarvestScenario};

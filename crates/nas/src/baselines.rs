@@ -12,43 +12,14 @@
 //! Both share eNAS's trainer, candidate space and constraint handling, so
 //! differences are attributable to the search strategy alone.
 
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
-use solarml_units::Energy;
+use rand::SeedableRng;
 
 use crate::candidate::Evaluated;
 use crate::parallel::{EvalEngine, EvalRequest};
+use crate::search::{best_by, envelope, most_accurate_feasible, resense, Evolution, SearchConfig};
 use crate::task::{SearchOutcome, TaskContext};
-
-/// Configuration shared by the extra baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BaselineConfig {
-    /// Population size (HarvNet-style) / irrelevant for random search.
-    pub population: usize,
-    /// Tournament size (HarvNet-style).
-    pub sample_size: usize,
-    /// Evolution cycles (HarvNet-style) / total samples (random search,
-    /// added to the initial population-worth of samples).
-    pub cycles: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Worker threads for candidate evaluation (0 = available parallelism).
-    #[serde(default)]
-    pub workers: usize,
-}
-
-impl BaselineConfig {
-    /// Reduced settings for tests and quick demos.
-    pub fn quick() -> Self {
-        Self {
-            population: 8,
-            sample_size: 4,
-            cycles: 12,
-            seed: 0xBA5E,
-            workers: 0,
-        }
-    }
-}
 
 /// The HarvNet-style ratio objective `A / E` (estimated energy, µJ).
 fn ratio_objective(e: &Evaluated) -> f64 {
@@ -62,123 +33,59 @@ fn ratio_objective(e: &Evaluated) -> f64 {
 }
 
 /// Runs a HarvNet-style aging evolution over the *joint* space with the
-/// ratio objective (sensing mutations reuse eNAS's grid morphisms every
-/// fourth cycle so the comparison isolates the objective, not the space).
+/// ratio objective (every fourth cycle steps to one random sensing
+/// neighbour instead of a model morphism, so the comparison isolates the
+/// objective, not the space).
 ///
 /// # Panics
 ///
 /// Panics if `population` or `sample_size` is zero.
-pub fn run_harvnet_style(ctx: &TaskContext, config: &BaselineConfig) -> SearchOutcome {
-    assert!(config.population > 0, "population must be positive");
-    assert!(config.sample_size > 0, "sample size must be positive");
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let engine = EvalEngine::new(ctx, config.seed, config.workers);
-
-    // Phase 1: sample sequentially (RNG order), train in parallel.
-    let requests: Vec<EvalRequest> = (0..config.population)
-        .map(|_| EvalRequest::new(ctx.random_candidate(&mut rng), 0))
-        .collect();
-    let mut population: Vec<Evaluated> = engine
-        .evaluate_batch(&requests)
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut history: Vec<Evaluated> = population.clone();
-
-    for cycle in 1..=config.cycles {
-        let sample: Vec<&Evaluated> = population
-            .choose_multiple(&mut rng, config.sample_size.min(population.len()))
-            .collect();
-        let parent = sample
-            .iter()
-            .max_by(|a, b| ratio_objective(a).total_cmp(&ratio_objective(b)))
-            .expect("non-empty sample")
-            .candidate
-            .clone();
-        // Mostly model morphisms; occasionally step the sensing space too.
-        let child = if cycle % 4 == 0 {
-            let neighbors = ctx.sensing_neighbors(parent.sensing);
-            match neighbors.choose(&mut rng) {
-                Some(&sensing) => {
-                    let spec = match solarml_nn::ModelSpec::new(
-                        ctx.input_shape(sensing),
-                        parent.spec.layers().to_vec(),
-                    ) {
-                        Ok(spec) => spec,
-                        Err(_) => ctx.sampler(sensing).sample(&mut rng),
-                    };
-                    crate::candidate::Candidate { sensing, spec }
-                }
-                None => ctx.mutate_model(&parent, &mut rng),
-            }
-        } else {
-            ctx.mutate_model(&parent, &mut rng)
-        };
-        if let Some(eval) = engine.evaluate_one(child, cycle) {
-            history.push(eval.clone());
-            population.push(eval);
-            population.remove(0);
-        }
-    }
-
-    let best = history
-        .iter()
-        .max_by(|a, b| ratio_objective(a).total_cmp(&ratio_objective(b)))
-        .expect("history is non-empty")
-        .clone();
-    let envelope = envelope_of(&history);
+pub fn run_harvnet_style(ctx: &TaskContext, config: &SearchConfig) -> SearchOutcome {
+    let mut evo = Evolution::start(ctx, *config, false, |rng| ctx.random_candidate(rng));
+    evo.run(
+        |_, _| ratio_objective,
+        |rng, parent, cycle| {
+            let step = if cycle % 4 == 0 {
+                ctx.sensing_neighbors(parent.sensing).choose(rng).copied()
+            } else {
+                None
+            };
+            vec![match step {
+                Some(sensing) => resense(ctx, parent, sensing, rng),
+                None => ctx.mutate_model(parent, rng),
+            }]
+        },
+    );
     SearchOutcome {
-        history,
-        best,
-        energy_envelope: envelope,
+        best: best_by(&evo.history, ratio_objective).clone(),
+        energy_envelope: envelope(&evo.history),
+        history: evo.history,
     }
 }
 
-/// Pure random search: `population + cycles` constraint-satisfying samples,
-/// best by accuracy among feasible candidates.
-pub fn run_random_search(ctx: &TaskContext, config: &BaselineConfig) -> SearchOutcome {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let engine = EvalEngine::new(ctx, config.seed, config.workers);
-    let budget = config.population + config.cycles;
-    // One deterministic batch: sample index doubles as the recorded cycle
-    // (`random_candidate` guarantees feasibility, so nothing drops out).
-    let requests: Vec<EvalRequest> = (0..budget)
+/// Pure random search: `population + cycles` constraint-satisfying samples
+/// in one batch (the sample index is the recorded cycle), best by accuracy
+/// among feasible candidates.
+///
+/// # Panics
+///
+/// Panics if `population` or `sample_size` is zero.
+pub fn run_random_search(ctx: &TaskContext, config: &SearchConfig) -> SearchOutcome {
+    config.check();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let requests: Vec<EvalRequest> = (0..config.population + config.cycles)
         .map(|i| EvalRequest::new(ctx.random_candidate(&mut rng), i))
         .collect();
-    let history: Vec<Evaluated> = engine
+    let history: Vec<Evaluated> = EvalEngine::new(ctx, config.seed, config.workers)
         .evaluate_batch(&requests)
         .into_iter()
         .flatten()
         .collect();
-    let best = history
-        .iter()
-        .filter(|e| e.meets_accuracy)
-        .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-        .or_else(|| {
-            history
-                .iter()
-                .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-        })
-        .expect("history is non-empty")
-        .clone();
-    let envelope = envelope_of(&history);
     SearchOutcome {
+        best: most_accurate_feasible(&history),
+        energy_envelope: envelope(&history),
         history,
-        best,
-        energy_envelope: envelope,
     }
-}
-
-fn envelope_of(history: &[Evaluated]) -> (Energy, Energy) {
-    let mut lo = Energy::new(f64::INFINITY);
-    let mut hi = Energy::ZERO;
-    for e in history {
-        lo = lo.min(e.estimated_energy);
-        hi = hi.max(e.estimated_energy);
-    }
-    (lo, hi)
 }
 
 #[cfg(test)]
@@ -198,7 +105,7 @@ mod tests {
     #[test]
     fn harvnet_style_runs_and_prefers_cheap_accurate() {
         let ctx = tiny_ctx();
-        let out = run_harvnet_style(&ctx, &BaselineConfig::quick());
+        let out = run_harvnet_style(&ctx, &SearchConfig::baseline_quick());
         assert!(!out.history.is_empty());
         // The winner's ratio is maximal over the history.
         let best_ratio = ratio_objective(&out.best);
@@ -213,9 +120,9 @@ mod tests {
         // accurate candidate can outrank cheaper ones — so assert only that
         // the winner stays out of the most expensive quartile.
         let ctx = tiny_ctx();
-        let cfg = BaselineConfig {
+        let cfg = SearchConfig {
             seed: 7,
-            ..BaselineConfig::quick()
+            ..SearchConfig::baseline_quick()
         };
         let out = run_harvnet_style(&ctx, &cfg);
         let mut energies: Vec<f64> = out
@@ -231,20 +138,41 @@ mod tests {
     #[test]
     fn random_search_exhausts_budget() {
         let ctx = tiny_ctx();
-        let cfg = BaselineConfig::quick();
+        let cfg = SearchConfig::baseline_quick();
         let out = run_random_search(&ctx, &cfg);
         assert_eq!(out.history.len(), cfg.population + cfg.cycles);
     }
 
     #[test]
+    #[should_panic(expected = "population must be positive")]
+    fn random_search_rejects_an_empty_budget() {
+        let cfg = SearchConfig {
+            population: 0,
+            cycles: 0,
+            ..SearchConfig::baseline_quick()
+        };
+        let _ = run_random_search(&tiny_ctx(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample size must be positive")]
+    fn harvnet_rejects_an_empty_tournament() {
+        let cfg = SearchConfig {
+            sample_size: 0,
+            ..SearchConfig::baseline_quick()
+        };
+        let _ = run_harvnet_style(&tiny_ctx(), &cfg);
+    }
+
+    #[test]
     fn baselines_are_deterministic() {
         let ctx = tiny_ctx();
-        let cfg = BaselineConfig {
+        let cfg = SearchConfig {
             population: 3,
             sample_size: 2,
             cycles: 3,
             seed: 5,
-            ..BaselineConfig::quick()
+            ..SearchConfig::baseline_quick()
         };
         let a = run_harvnet_style(&ctx, &cfg);
         let b = run_harvnet_style(&ctx, &cfg);

@@ -9,13 +9,10 @@
 //! by `R` because sensing changes invalidate the trained-model cache and
 //! pay the highest evaluation cost.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-use solarml_units::Energy;
 
-use crate::candidate::{Candidate, Evaluated};
-use crate::parallel::{EvalEngine, EvalRequest};
+use crate::candidate::Evaluated;
+use crate::search::{best_by, envelope, resense, Evolution, SearchConfig};
 use crate::task::{SearchOutcome, TaskContext};
 
 /// Which energy estimator the search consults — the paper's layer-wise
@@ -76,10 +73,7 @@ impl EnasConfig {
             sample_size: 4,
             cycles: 12,
             grid_period: 4,
-            lambda,
-            seed: 0xE7A5,
-            energy_proxy: EnergyProxy::Layerwise,
-            workers: 0,
+            ..Self::paper(lambda)
         }
     }
 }
@@ -91,155 +85,40 @@ impl EnasConfig {
 /// Panics if `population` or `sample_size` is zero, or if the constraint
 /// set rejects the entire candidate space.
 pub fn run_enas(ctx: &TaskContext, config: &EnasConfig) -> SearchOutcome {
-    assert!(config.population > 0, "population must be positive");
-    assert!(config.sample_size > 0, "sample size must be positive");
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let engine = EvalEngine::new(ctx, config.seed, config.workers);
-
-    // ---- Phase 1: broad exploration with random permutations. ----
-    // Sampling is sequential (it drives the search RNG); the expensive
-    // training fans out across the worker pool. `random_candidate`
-    // guarantees the static constraints, so every request evaluates.
-    let requests: Vec<EvalRequest> = (0..config.population)
-        .map(|_| EvalRequest::new(ctx.random_candidate(&mut rng), 0))
-        .collect();
-    let mut population: Vec<Evaluated> = engine
-        .evaluate_batch(&requests)
-        .into_iter()
-        .flatten()
-        .map(|eval| apply_proxy(ctx, eval, config.energy_proxy))
-        .collect();
-    let mut history: Vec<Evaluated> = population.clone();
-    let (e_min, e_max) = energy_envelope(&population);
-
-    // ---- Phase 2: optimal exploration with mutations. ----
-    for cycle in 1..=config.cycles {
-        let sample: Vec<&Evaluated> = population
-            .choose_multiple(&mut rng, config.sample_size.min(population.len()))
-            .collect();
-        let parent = sample
-            .iter()
-            .max_by(|a, b| {
-                a.objective(config.lambda, e_min, e_max)
-                    .total_cmp(&b.objective(config.lambda, e_min, e_max))
-            })
-            .expect("non-empty sample")
-            .candidate
-            .clone();
-
-        let child_eval = if config.grid_period > 0 && cycle % config.grid_period == 0 {
-            grid_mutate(
-                ctx,
-                &engine,
-                &parent,
-                config,
-                (e_min, e_max),
-                cycle,
-                &mut rng,
-            )
-        } else {
-            let child = ctx.mutate_model(&parent, &mut rng);
-            engine
-                .evaluate_one(child, cycle)
-                .map(|eval| apply_proxy(ctx, eval, config.energy_proxy))
-        };
-        if let Some(eval) = child_eval {
-            history.push(eval.clone());
-            population.push(eval);
-            population.remove(0); // aging: drop the oldest
-        }
-    }
-
-    let best = history
-        .iter()
-        .max_by(|a, b| {
-            a.objective(config.lambda, e_min, e_max)
-                .total_cmp(&b.objective(config.lambda, e_min, e_max))
-        })
-        .expect("history is non-empty")
-        .clone();
+    let search = SearchConfig {
+        population: config.population,
+        sample_size: config.sample_size,
+        cycles: config.cycles,
+        seed: config.seed,
+        workers: config.workers,
+    };
+    let total_macs = config.energy_proxy == EnergyProxy::TotalMacs;
+    // Phase 1: broad exploration with random candidates; it fixes the
+    // energy envelope the objective normalizes by.
+    let mut evo = Evolution::start(ctx, search, total_macs, |rng| ctx.random_candidate(rng));
+    let (e_min, e_max) = envelope(&evo.population);
+    let objective = |e: &Evaluated| e.objective(config.lambda, e_min, e_max);
+    // Phase 2: a model morphism every cycle; every `R`-th cycle instead the
+    // paper's GRIDMUTATE, every single-step sensing neighbour as one batch,
+    // of which the best by objective survives.
+    evo.run(
+        |_, _| objective,
+        |rng, parent, cycle| {
+            if config.grid_period > 0 && cycle % config.grid_period == 0 {
+                ctx.sensing_neighbors(parent.sensing)
+                    .into_iter()
+                    .map(|sensing| resense(ctx, parent, sensing, rng))
+                    .collect()
+            } else {
+                vec![ctx.mutate_model(parent, rng)]
+            }
+        },
+    );
     SearchOutcome {
-        history,
-        best,
+        best: best_by(&evo.history, objective).clone(),
+        history: evo.history,
         energy_envelope: (e_min, e_max),
     }
-}
-
-/// The paper's `GRIDMUTATE`: evaluate every single-step sensing neighbour of
-/// the parent (model half fixed, revalidated against the new input shape)
-/// and return the best child by objective.
-///
-/// Spec re-derivation consumes the search RNG sequentially; the neighbour
-/// evaluations then run as one parallel batch.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the paper's GRIDMUTATE takes the search state piecewise; bundling it would only rename the arguments"
-)]
-fn grid_mutate(
-    ctx: &TaskContext,
-    engine: &EvalEngine<'_>,
-    parent: &Candidate,
-    config: &EnasConfig,
-    envelope: (Energy, Energy),
-    cycle: usize,
-    rng: &mut impl Rng,
-) -> Option<Evaluated> {
-    let (e_min, e_max) = envelope;
-    let requests: Vec<EvalRequest> = ctx
-        .sensing_neighbors(parent.sensing)
-        .into_iter()
-        .map(|sensing| {
-            // The model must be re-derived for the new input shape: try to
-            // keep the same layer sequence; if it no longer validates, sample
-            // a fresh model in the new shape's space.
-            let spec = match solarml_nn::ModelSpec::new(
-                ctx.input_shape(sensing),
-                parent.spec.layers().to_vec(),
-            ) {
-                Ok(spec) => spec,
-                Err(_) => ctx.sampler(sensing).sample(rng),
-            };
-            EvalRequest::new(Candidate { sensing, spec }, cycle)
-        })
-        .collect();
-    let mut best: Option<Evaluated> = None;
-    for eval in engine.evaluate_batch(&requests).into_iter().flatten() {
-        let eval = apply_proxy(ctx, eval, config.energy_proxy);
-        let better = best
-            .as_ref()
-            .map(|b| {
-                eval.objective(config.lambda, e_min, e_max)
-                    > b.objective(config.lambda, e_min, e_max)
-            })
-            .unwrap_or(true);
-        if better {
-            best = Some(eval);
-        }
-    }
-    best
-}
-
-/// Under the [`EnergyProxy::TotalMacs`] ablation, swaps the search-facing
-/// estimate for the coarse proxy (the true energy is still recorded for
-/// reporting). Applied *after* cache retrieval — the memo cache always
-/// stores the base layer-wise estimate, and this override is a pure
-/// function of the candidate, so hits and misses agree.
-fn apply_proxy(ctx: &TaskContext, mut eval: Evaluated, proxy: EnergyProxy) -> Evaluated {
-    if proxy == EnergyProxy::TotalMacs {
-        eval.estimated_energy = ctx.munas_estimated_energy(&eval.candidate);
-    }
-    eval
-}
-
-fn energy_envelope(population: &[Evaluated]) -> (Energy, Energy) {
-    let mut e_min = Energy::new(f64::INFINITY);
-    let mut e_max = Energy::ZERO;
-    for e in population {
-        e_min = e_min.min(e.estimated_energy);
-        e_max = e_max.max(e.estimated_energy);
-    }
-    (e_min, e_max)
 }
 
 #[cfg(test)]

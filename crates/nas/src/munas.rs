@@ -6,165 +6,63 @@
 //! evaluates it at 20 random sensing configurations, §V-D), and its energy
 //! signal is the coarse `E = a·MACs + b` proxy.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use solarml_units::Energy;
 
 use crate::candidate::{Candidate, Evaluated, SensingConfig};
-use crate::parallel::{EvalEngine, EvalRequest};
+use crate::search::{envelope, most_accurate_feasible, Evolution, SearchConfig};
 use crate::task::{SearchOutcome, TaskContext};
-
-/// µNAS hyperparameters (matched to the eNAS run for fairness, §V-D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MunasConfig {
-    /// Population size.
-    pub population: usize,
-    /// Tournament size.
-    pub sample_size: usize,
-    /// Evolutionary cycles.
-    pub cycles: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Worker threads for candidate evaluation (0 = available parallelism).
-    #[serde(default)]
-    pub workers: usize,
-}
-
-impl MunasConfig {
-    /// The paper's full-scale settings.
-    pub fn paper() -> Self {
-        Self {
-            population: 50,
-            sample_size: 20,
-            cycles: 150,
-            seed: 0x33A5,
-            workers: 0,
-        }
-    }
-
-    /// Reduced settings for tests and quick demos.
-    pub fn quick() -> Self {
-        Self {
-            population: 8,
-            sample_size: 4,
-            cycles: 12,
-            seed: 0x33A5,
-            workers: 0,
-        }
-    }
-}
 
 /// Runs µNAS at a fixed sensing configuration.
 ///
 /// Selection uses *random scalarization*: each cycle draws a fresh weight
 /// `w ~ U(0,1)` and ranks by `w·A − (1−w)·Ê_norm`, where `Ê` is the
-/// total-MACs proxy normalized by the population's running envelope. The
-/// reported `best` maximizes accuracy among accuracy-feasible candidates
+/// total-MACs proxy normalized by the population's running envelope (µJ).
+/// The reported `best` maximizes accuracy among accuracy-feasible candidates
 /// (falling back to raw accuracy when none are feasible).
 ///
 /// # Panics
 ///
 /// Panics if `population` or `sample_size` is zero.
-pub fn run_munas(ctx: &TaskContext, sensing: SensingConfig, config: &MunasConfig) -> SearchOutcome {
-    assert!(config.population > 0, "population must be positive");
-    assert!(config.sample_size > 0, "sample size must be positive");
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let engine = EvalEngine::new(ctx, config.seed, config.workers);
+pub fn run_munas(
+    ctx: &TaskContext,
+    sensing: SensingConfig,
+    config: &SearchConfig,
+) -> SearchOutcome {
     let sampler = ctx.sampler(sensing);
-
-    // Phase 1 in parallel rounds: sampled specs may violate the static
-    // constraints (unlike `random_candidate`, the sampler does not retry),
-    // so keep batching until the population fills.
-    let mut population: Vec<Evaluated> = Vec::with_capacity(config.population);
-    let mut history: Vec<Evaluated> = Vec::new();
-    while population.len() < config.population {
-        let needed = config.population - population.len();
-        let requests: Vec<EvalRequest> = (0..needed)
-            .map(|_| {
-                let spec = sampler.sample(&mut rng);
-                EvalRequest::new(Candidate { sensing, spec }, 0)
-            })
-            .collect();
-        for eval in engine.evaluate_batch(&requests).into_iter().flatten() {
-            let eval = proxy_override(ctx, eval);
-            history.push(eval.clone());
-            population.push(eval);
-        }
-    }
-
-    for cycle in 1..=config.cycles {
-        // Random scalarization: fresh weight every cycle.
-        let w: f64 = rng.gen_range(0.0..1.0);
-        let (e_lo, e_hi) = proxy_envelope(&population);
-        let score = |e: &Evaluated| -> f64 {
-            let span = (e_hi - e_lo).max(1e-12);
-            let norm = ((e.estimated_energy.as_micro_joules() - e_lo) / span).clamp(0.0, 1.0);
-            let base = w * e.accuracy - (1.0 - w) * norm;
-            if e.meets_accuracy {
-                base
-            } else {
-                base - 10.0
+    let mut evo = Evolution::start(ctx, *config, true, |rng| Candidate {
+        sensing,
+        spec: sampler.sample(rng),
+    });
+    evo.run(
+        |rng, population| {
+            let w: f64 = rng.gen_range(0.0..1.0);
+            let (lo, hi) = envelope(population);
+            let (lo, hi) = (lo.as_micro_joules(), hi.as_micro_joules());
+            let span = (hi - lo).max(1e-12);
+            move |e: &Evaluated| {
+                let norm = ((e.estimated_energy.as_micro_joules() - lo) / span).clamp(0.0, 1.0);
+                let base = w * e.accuracy - (1.0 - w) * norm;
+                if e.meets_accuracy {
+                    base
+                } else {
+                    base - 10.0
+                }
             }
-        };
-        let sample: Vec<&Evaluated> = population
-            .choose_multiple(&mut rng, config.sample_size.min(population.len()))
-            .collect();
-        let parent = sample
-            .iter()
-            .max_by(|a, b| score(a).total_cmp(&score(b)))
-            .expect("non-empty sample")
-            .candidate
-            .clone();
-        let child = ctx.mutate_model(&parent, &mut rng);
-        if let Some(eval) = engine.evaluate_one(child, cycle) {
-            let eval = proxy_override(ctx, eval);
-            history.push(eval.clone());
-            population.push(eval);
-            population.remove(0);
-        }
-    }
-
-    // Report the most accurate feasible candidate.
-    let best = history
-        .iter()
-        .filter(|e| e.meets_accuracy)
-        .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-        .or_else(|| {
-            history
-                .iter()
-                .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-        })
-        .expect("history is non-empty")
-        .clone();
-    let envelope = proxy_envelope(&population);
+        },
+        |rng, parent, _| vec![ctx.mutate_model(parent, rng)],
+    );
+    // The final population's envelope, reported through the µJ values the
+    // score normalizes by.
+    let (lo, hi) = envelope(&evo.population);
     SearchOutcome {
-        history,
-        best,
+        best: most_accurate_feasible(&evo.history),
+        history: evo.history,
         energy_envelope: (
-            solarml_units::Energy::from_micro_joules(envelope.0),
-            solarml_units::Energy::from_micro_joules(envelope.1),
+            Energy::from_micro_joules(lo.as_micro_joules()),
+            Energy::from_micro_joules(hi.as_micro_joules()),
         ),
     }
-}
-
-/// Rewrites `estimated_energy` with the µNAS total-MACs proxy (the true
-/// energy is still recorded for reporting). Applied after cache retrieval,
-/// so memoized evaluations keep the base layer-wise estimate and this
-/// override stays a pure function of the candidate.
-fn proxy_override(ctx: &TaskContext, mut eval: Evaluated) -> Evaluated {
-    eval.estimated_energy = ctx.munas_estimated_energy(&eval.candidate);
-    eval
-}
-
-fn proxy_envelope(population: &[Evaluated]) -> (f64, f64) {
-    let mut lo = f64::INFINITY;
-    let mut hi = 0.0f64;
-    for e in population {
-        lo = lo.min(e.estimated_energy.as_micro_joules());
-        hi = hi.max(e.estimated_energy.as_micro_joules());
-    }
-    (lo, hi)
 }
 
 #[cfg(test)]
@@ -190,7 +88,7 @@ mod tests {
     #[test]
     fn munas_runs_at_fixed_sensing() {
         let ctx = tiny_ctx();
-        let out = run_munas(&ctx, fixed_sensing(), &MunasConfig::quick());
+        let out = run_munas(&ctx, fixed_sensing(), &SearchConfig::munas_quick());
         assert!(!out.history.is_empty());
         // Every candidate carries the same sensing config.
         for e in &out.history {
@@ -201,7 +99,7 @@ mod tests {
     #[test]
     fn munas_best_is_max_accuracy_feasible() {
         let ctx = tiny_ctx();
-        let out = run_munas(&ctx, fixed_sensing(), &MunasConfig::quick());
+        let out = run_munas(&ctx, fixed_sensing(), &SearchConfig::munas_quick());
         if out.best.meets_accuracy {
             for e in out.history.iter().filter(|e| e.meets_accuracy) {
                 assert!(e.accuracy <= out.best.accuracy + 1e-12);
@@ -212,12 +110,12 @@ mod tests {
     #[test]
     fn munas_is_deterministic() {
         let ctx = tiny_ctx();
-        let cfg = MunasConfig {
+        let cfg = SearchConfig {
             population: 3,
             sample_size: 2,
             cycles: 3,
             seed: 4,
-            ..MunasConfig::quick()
+            ..SearchConfig::munas_quick()
         };
         let a = run_munas(&ctx, fixed_sensing(), &cfg);
         let b = run_munas(&ctx, fixed_sensing(), &cfg);

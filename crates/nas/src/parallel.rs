@@ -246,14 +246,6 @@ impl<'a> EvalEngine<'a> {
             })
             .collect()
     }
-
-    /// Evaluates a single candidate through the same cache + seeding path
-    /// as a one-element batch.
-    pub fn evaluate_one(&self, candidate: Candidate, cycle: usize) -> Option<Evaluated> {
-        self.evaluate_batch(&[EvalRequest::new(candidate, cycle)])
-            .pop()
-            .flatten()
-    }
 }
 
 #[cfg(test)]
@@ -329,7 +321,10 @@ mod tests {
             match &checked[1] {
                 Err(p) => {
                     assert_eq!(p.index, 1);
-                    assert!(p.message.contains("kws context has a corpus"), "{p}");
+                    assert!(
+                        p.message.contains("not belong to a GestureDigits context"),
+                        "{p}"
+                    );
                 }
                 Ok(v) => panic!("poisoned slot must fail, got {v:?}"),
             }

@@ -2,7 +2,8 @@
 
 use std::sync::Arc;
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use solarml_datasets::{GestureDataset, GestureDatasetBuilder, KwsDataset, KwsDatasetBuilder};
 use solarml_dsp::{AudioFrontendParams, GestureSensingParams, Resolution};
@@ -116,28 +117,37 @@ pub type CachedDatasets = Arc<(ClassDataset, ClassDataset)>;
 /// `RwLock` maps, so worker threads in [`crate::parallel::EvalEngine`] can
 /// evaluate candidates against one shared `&TaskContext`.
 pub struct TaskContext {
-    kind: TaskKind,
-    gesture_corpus: Option<(GestureDataset, GestureDataset)>,
-    kws_corpus: Option<(KwsDataset, KwsDataset)>,
+    data: TaskData,
     dataset_cache: ShardedMap<SensingConfig, CachedDatasets>,
     eval_cache: ShardedMap<Candidate, Evaluated>,
     inference_model: LayerwiseMacModel,
     total_mac_model: TotalMacModel,
-    gesture_model: Option<GestureSensingModel>,
-    audio_model: Option<AudioSensingModel>,
     inference_ground: InferenceGround,
-    gesture_ground: GestureSensingGround,
-    audio_ground: AudioSensingGround,
     /// Active constraint set.
     pub constraints: Constraints,
     /// Training hyperparameters for candidate evaluation.
     pub train_config: TrainConfig,
 }
 
+/// The task-specific half of a context: the train/test corpus, the fitted
+/// sensing-energy model and the sensing ground truth.
+enum TaskData {
+    Gesture {
+        corpus: (GestureDataset, GestureDataset),
+        model: GestureSensingModel,
+        ground: GestureSensingGround,
+    },
+    Kws {
+        corpus: (KwsDataset, KwsDataset),
+        model: AudioSensingModel,
+        ground: AudioSensingGround,
+    },
+}
+
 impl std::fmt::Debug for TaskContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskContext")
-            .field("kind", &self.kind)
+            .field("kind", &self.kind())
             .field("constraints", &self.constraints)
             .finish_non_exhaustive()
     }
@@ -147,82 +157,80 @@ impl TaskContext {
     /// Builds the gesture-digits task: generates the corpus, fits the
     /// inference and gesture-sensing energy models.
     pub fn gesture(samples_per_class: usize, seed: u64) -> Self {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let corpus = GestureDatasetBuilder {
             samples_per_class,
             seed,
             ..GestureDatasetBuilder::default()
         }
-        .build();
-        let (train, test) = corpus.split(0.2);
-        let (inference_model, total_mac_model) = fit_inference_models(&mut rng);
-        let gesture_ground = GestureSensingGround::default();
-        let (sense_corpus, _) = gesture_sensing_corpus(300, &gesture_ground, &mut rng);
-        let mut gesture_model = GestureSensingModel::new();
-        gesture_model.fit(&sense_corpus);
-        Self {
-            kind: TaskKind::GestureDigits,
-            gesture_corpus: Some((train, test)),
-            kws_corpus: None,
-            dataset_cache: ShardedMap::new(),
-            eval_cache: ShardedMap::new(),
-            inference_model,
-            total_mac_model,
-            gesture_model: Some(gesture_model),
-            audio_model: None,
-            inference_ground: InferenceGround::default(),
-            gesture_ground,
-            audio_ground: AudioSensingGround::default(),
-            constraints: Constraints::gesture_paper(),
-            train_config: TrainConfig::default(),
-        }
+        .build()
+        .split(0.2);
+        Self::fit(seed, Constraints::gesture_paper(), |rng| {
+            let ground = GestureSensingGround::default();
+            let mut model = GestureSensingModel::new();
+            model.fit(&gesture_sensing_corpus(300, &ground, rng).0);
+            TaskData::Gesture {
+                corpus,
+                model,
+                ground,
+            }
+        })
     }
 
     /// Builds the KWS task analogously.
     pub fn kws(samples_per_class: usize, seed: u64) -> Self {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let corpus = KwsDatasetBuilder {
             samples_per_class,
             seed,
             ..KwsDatasetBuilder::default()
         }
-        .build();
-        let (train, test) = corpus.split(0.2);
+        .build()
+        .split(0.2);
+        Self::fit(seed, Constraints::kws_paper(), |rng| {
+            let ground = AudioSensingGround::default();
+            let mut model = AudioSensingModel::new(ground.clip_ms);
+            model.fit(&audio_sensing_corpus(300, &ground, rng).0);
+            TaskData::Kws {
+                corpus,
+                model,
+                ground,
+            }
+        })
+    }
+
+    /// Fits the inference-energy models, then (with the same RNG) the
+    /// task's sensing model.
+    fn fit(
+        seed: u64,
+        constraints: Constraints,
+        fit_sensing: impl FnOnce(&mut StdRng) -> TaskData,
+    ) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
         let (inference_model, total_mac_model) = fit_inference_models(&mut rng);
-        let audio_ground = AudioSensingGround::default();
-        let (sense_corpus, _) = audio_sensing_corpus(300, &audio_ground, &mut rng);
-        let mut audio_model = AudioSensingModel::new(audio_ground.clip_ms);
-        audio_model.fit(&sense_corpus);
         Self {
-            kind: TaskKind::Kws,
-            gesture_corpus: None,
-            kws_corpus: Some((train, test)),
+            data: fit_sensing(&mut rng),
             dataset_cache: ShardedMap::new(),
             eval_cache: ShardedMap::new(),
             inference_model,
             total_mac_model,
-            gesture_model: None,
-            audio_model: Some(audio_model),
             inference_ground: InferenceGround::default(),
-            gesture_ground: GestureSensingGround::default(),
-            audio_ground,
-            constraints: Constraints::kws_paper(),
+            constraints,
             train_config: TrainConfig::default(),
         }
     }
 
     /// Which task this context evaluates.
     pub fn kind(&self) -> TaskKind {
-        self.kind
+        match self.data {
+            TaskData::Gesture { .. } => TaskKind::GestureDigits,
+            TaskData::Kws { .. } => TaskKind::Kws,
+        }
     }
 
     /// Samples a random sensing configuration from the Table II space.
     pub fn random_sensing(&self, rng: &mut impl Rng) -> SensingConfig {
-        match self.kind {
-            TaskKind::GestureDigits => SensingConfig::Gesture(random_gesture_params(rng)),
-            TaskKind::Kws => SensingConfig::Audio(random_audio_params(rng)),
+        match self.data {
+            TaskData::Gesture { .. } => SensingConfig::Gesture(random_gesture_params(rng)),
+            TaskData::Kws { .. } => SensingConfig::Audio(random_audio_params(rng)),
         }
     }
 
@@ -242,16 +250,21 @@ impl TaskContext {
     }
 
     /// Model input shape implied by a sensing configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` belongs to the other task.
     pub fn input_shape(&self, s: SensingConfig) -> [usize; 3] {
-        match s {
-            SensingConfig::Gesture(p) => {
-                let t = p.samples_per_channel(self.gesture_ground.window.as_seconds());
+        match (&self.data, s) {
+            (TaskData::Gesture { ground, .. }, SensingConfig::Gesture(p)) => {
+                let t = p.samples_per_channel(ground.window.as_seconds());
                 [t, p.channels() as usize, 1]
             }
-            SensingConfig::Audio(p) => {
-                let frames = p.frames_for_clip(self.audio_ground.clip_ms);
+            (TaskData::Kws { ground, .. }, SensingConfig::Audio(p)) => {
+                let frames = p.frames_for_clip(ground.clip_ms);
                 [frames.max(1), p.features() as usize, 1]
             }
+            _ => self.foreign(s),
         }
     }
 
@@ -321,27 +334,30 @@ impl TaskContext {
     }
 
     /// Ground-truth end-to-end `E_S + E_M`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the candidate's sensing belongs to the other task.
     pub fn true_energy(&self, cand: &Candidate) -> Energy {
-        let sensing = match cand.sensing {
-            SensingConfig::Gesture(p) => self.gesture_ground.true_energy(&p),
-            SensingConfig::Audio(p) => self.audio_ground.true_energy(&p),
+        let sensing = match (&self.data, cand.sensing) {
+            (TaskData::Gesture { ground, .. }, SensingConfig::Gesture(p)) => ground.true_energy(&p),
+            (TaskData::Kws { ground, .. }, SensingConfig::Audio(p)) => ground.true_energy(&p),
+            _ => self.foreign(cand.sensing),
         };
         sensing + self.inference_ground.true_energy(&cand.spec)
     }
 
     fn sensing_estimate(&self, s: SensingConfig) -> Energy {
-        match s {
-            SensingConfig::Gesture(p) => self
-                .gesture_model
-                .as_ref()
-                .expect("gesture context has a gesture model")
-                .estimate(&p),
-            SensingConfig::Audio(p) => self
-                .audio_model
-                .as_ref()
-                .expect("kws context has an audio model")
-                .estimate(&p),
+        match (&self.data, s) {
+            (TaskData::Gesture { model, .. }, SensingConfig::Gesture(p)) => model.estimate(&p),
+            (TaskData::Kws { model, .. }, SensingConfig::Audio(p)) => model.estimate(&p),
+            _ => self.foreign(s),
         }
+    }
+
+    /// The one answer to a sensing configuration of the other task.
+    fn foreign(&self, s: SensingConfig) -> ! {
+        panic!("sensing {s} does not belong to a {:?} context", self.kind())
     }
 
     /// Train/test datasets for a sensing configuration (cached — repeated
@@ -350,20 +366,21 @@ impl TaskContext {
     /// The dataset transform is a pure function of the sensing parameters,
     /// so racing threads that compute the same pair concurrently converge
     /// on identical data; the first insert wins and later callers share it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` belongs to the other task.
     pub fn datasets(&self, s: SensingConfig) -> CachedDatasets {
-        self.dataset_cache.get_or_insert_with(&s, || match s {
-            SensingConfig::Gesture(p) => {
-                let (train, test) = self
-                    .gesture_corpus
-                    .as_ref()
-                    .expect("gesture context has a corpus");
-                Arc::new((train.to_class_dataset(&p), test.to_class_dataset(&p)))
-            }
-            SensingConfig::Audio(p) => {
-                let (train, test) = self.kws_corpus.as_ref().expect("kws context has a corpus");
-                Arc::new((train.to_class_dataset(&p), test.to_class_dataset(&p)))
-            }
-        })
+        self.dataset_cache
+            .get_or_insert_with(&s, || match (&self.data, s) {
+                (TaskData::Gesture { corpus, .. }, SensingConfig::Gesture(p)) => {
+                    Arc::new((corpus.0.to_class_dataset(&p), corpus.1.to_class_dataset(&p)))
+                }
+                (TaskData::Kws { corpus, .. }, SensingConfig::Audio(p)) => {
+                    Arc::new((corpus.0.to_class_dataset(&p), corpus.1.to_class_dataset(&p)))
+                }
+                _ => self.foreign(s),
+            })
     }
 
     /// Trains and evaluates a candidate. Returns `None` if the static
@@ -400,9 +417,7 @@ impl TaskContext {
     /// the worker-thread entry point, where evaluation order must not
     /// influence results.
     pub fn evaluate_seeded(&self, cand: &Candidate, cycle: usize, seed: u64) -> Option<Evaluated> {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        self.evaluate(cand, cycle, &mut rng)
+        self.evaluate(cand, cycle, &mut StdRng::seed_from_u64(seed))
     }
 
     /// Memoized evaluation for `cand`, if one has been stored. The cached
@@ -494,10 +509,9 @@ fn audio_neighbors(p: &AudioFrontendParams) -> Vec<AudioFrontendParams> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> rand::rngs::StdRng {
-        rand::rngs::StdRng::seed_from_u64(77)
+    fn rng() -> StdRng {
+        StdRng::seed_from_u64(77)
     }
 
     fn tiny_gesture() -> TaskContext {

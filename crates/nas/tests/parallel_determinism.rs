@@ -2,7 +2,7 @@
 //! search results. One worker and four workers over identically-built
 //! contexts must produce bit-identical `SearchOutcome`s.
 
-use solarml_nas::{run_enas, run_munas, EnasConfig, MunasConfig, SensingConfig, TaskContext};
+use solarml_nas::{run_enas, run_munas, EnasConfig, SearchConfig, SensingConfig, TaskContext};
 use solarml_nn::TrainConfig;
 
 fn tiny_ctx() -> TaskContext {
@@ -65,14 +65,14 @@ fn munas_history_is_bit_identical_at_1_and_4_workers() {
         use solarml_dsp::{GestureSensingParams, Resolution};
         SensingConfig::Gesture(GestureSensingParams::new(6, 60, Resolution::Int, 8).expect("valid"))
     };
-    let cfg_serial = MunasConfig {
+    let cfg_serial = SearchConfig {
         population: 4,
         sample_size: 2,
         cycles: 4,
         workers: 1,
-        ..MunasConfig::quick()
+        ..SearchConfig::munas_quick()
     };
-    let cfg_parallel = MunasConfig {
+    let cfg_parallel = SearchConfig {
         workers: 4,
         ..cfg_serial
     };

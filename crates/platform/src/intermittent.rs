@@ -930,7 +930,7 @@ impl<'a> Engine<'a> {
         let mut retries = 0usize;
         loop {
             let Some(rung_idx) = self.wait_for_energy(resume_phase, min_rung, deadline) else {
-                self.abandon(resume_phase > 0);
+                self.abandon();
                 return;
             };
             min_rung = rung_idx;
@@ -960,14 +960,14 @@ impl<'a> Engine<'a> {
                     self.interrupted += 1;
                     retries += 1;
                     if retries > self.cfg.max_retries {
-                        self.abandon(resume_phase > 0);
+                        self.abandon();
                         return;
                     }
                 }
                 Err(_) => {
                     // A state-machine corner (configuration bug): abandon
                     // the cycle rather than unwinding the whole day.
-                    self.abandon(resume_phase > 0);
+                    self.abandon();
                     return;
                 }
             }
@@ -975,7 +975,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Abandons the current cycle; all banked progress is wasted.
-    fn abandon(&mut self, _had_progress: bool) {
+    fn abandon(&mut self) {
         self.abandoned += 1;
         self.wasted += self.rail.unsaved + self.banked;
         self.rail.unsaved = Energy::ZERO;

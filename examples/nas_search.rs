@@ -6,7 +6,7 @@
 //! cargo run --release --example nas_search
 //! ```
 
-use solarml::nas::{pareto_front, run_enas, run_munas, EnasConfig, MunasConfig, TaskContext};
+use solarml::nas::{pareto_front, run_enas, run_munas, EnasConfig, SearchConfig, TaskContext};
 use solarml::nn::TrainConfig;
 use solarml::SensingConfig;
 
@@ -48,7 +48,7 @@ fn main() {
                 .expect("params in range"),
         ),
     ] {
-        let out = run_munas(&ctx, sensing, &MunasConfig::quick());
+        let out = run_munas(&ctx, sensing, &SearchConfig::munas_quick());
         println!(
             "  @ {sensing} -> acc {:.3}, E {}",
             out.best.accuracy, out.best.true_energy

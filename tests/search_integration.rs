@@ -1,6 +1,6 @@
 //! Integration tests for the search drivers on live task contexts.
 
-use solarml::nas::{pareto_front, run_enas, run_munas, EnasConfig, MunasConfig, TaskContext};
+use solarml::nas::{pareto_front, run_enas, run_munas, EnasConfig, SearchConfig, TaskContext};
 use solarml::nn::TrainConfig;
 use solarml::SensingConfig;
 
@@ -71,7 +71,7 @@ fn munas_never_changes_sensing() {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let sensing = ctx.random_sensing(&mut rng);
-    let out = run_munas(&ctx, sensing, &MunasConfig::quick());
+    let out = run_munas(&ctx, sensing, &SearchConfig::munas_quick());
     assert!(out.history.iter().all(|e| e.candidate.sensing == sensing));
 }
 

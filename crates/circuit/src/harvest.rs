@@ -167,22 +167,37 @@ impl HarvestingArray {
     /// for event cells) contribute nothing; the harvester's boost stage
     /// otherwise decouples cell voltage from supercap voltage, so we convert
     /// power: `I = η·P_raw / V_cap`.
+    ///
+    /// The cell model runs once per run of consecutive cells with the same
+    /// shading bits (under uniform light, once per call); the per-cell
+    /// powers are still summed in row-major order, so the result is
+    /// bit-identical to evaluating every cell on its own.
     pub fn charging_current(
         &self,
         lux: Lux,
         v_cap: Volts,
         shading: impl Fn(usize) -> Ratio,
     ) -> Amps {
+        let cell = &self.layout.cell;
         let mut raw = Power::ZERO;
+        let mut last: Option<(u64, Amps, Power)> = None;
         for (i, &role) in self.layout.roles.iter().enumerate() {
             if role == CellRole::Sensing && self.mode == HarvestMode::Sensing {
                 continue; // diverted onto the sensing dividers
             }
             let s = shading(i).clamp01();
-            let mut p = self.layout.cell.mpp_power(lux, s);
+            let bits = s.get().to_bits();
+            let (isc, mut p) = match last {
+                Some((b, isc, mpp)) if b == bits => (isc, mpp),
+                _ => {
+                    let isc = cell.short_circuit_current(lux, s);
+                    let mpp = cell.open_circuit_voltage(isc) * isc * cell.fill_factor;
+                    last = Some((bits, isc, mpp));
+                    (isc, mpp)
+                }
+            };
             if role == CellRole::EventDetection {
                 // The Schottky diode eats its forward drop's share of power.
-                let isc = self.layout.cell.short_circuit_current(lux, s);
                 p = (p - isc * self.blocking_diode.forward_drop).max(Power::ZERO);
             }
             raw += p;
@@ -199,17 +214,8 @@ impl HarvestingArray {
         if self.mode != HarvestMode::Sensing {
             return vec![Volts::ZERO; self.layout.count(CellRole::Sensing)];
         }
-        self.layout
-            .indices(CellRole::Sensing)
-            .into_iter()
-            .map(|i| {
-                let s = shading(i).clamp01();
-                let v_cell = self
-                    .layout
-                    .cell
-                    .loaded_voltage(lux, s, self.sensing_divider.total());
-                self.sensing_divider.tap(v_cell)
-            })
+        self.sensing_cell_voltages(lux, &shading)
+            .map(|v_cell| self.sensing_divider.tap(v_cell))
             .collect()
     }
 
@@ -218,18 +224,30 @@ impl HarvestingArray {
         if self.mode != HarvestMode::Sensing {
             return Power::ZERO;
         }
-        self.layout
-            .indices(CellRole::Sensing)
-            .into_iter()
-            .map(|i| {
-                let s = shading(i).clamp01();
-                let v_cell = self
-                    .layout
-                    .cell
-                    .loaded_voltage(lux, s, self.sensing_divider.total());
-                self.sensing_divider.dissipation(v_cell)
-            })
+        self.sensing_cell_voltages(lux, &shading)
+            .map(|v_cell| self.sensing_divider.dissipation(v_cell))
             .sum()
+    }
+
+    /// Loaded voltage of each sensing cell across its divider, row-major,
+    /// read straight off `layout.roles` (no index list is allocated: the
+    /// circuit simulator asks for this on every step).
+    fn sensing_cell_voltages<'a>(
+        &'a self,
+        lux: Lux,
+        shading: &'a impl Fn(usize) -> Ratio,
+    ) -> impl Iterator<Item = Volts> + 'a {
+        let r_load = self.sensing_divider.total();
+        self.layout
+            .roles
+            .iter()
+            .enumerate()
+            .filter(|&(_, &role)| role == CellRole::Sensing)
+            .map(move |(i, _)| {
+                self.layout
+                    .cell
+                    .loaded_voltage(lux, shading(i).clamp01(), r_load)
+            })
     }
 }
 
@@ -240,6 +258,58 @@ mod tests {
 
     fn no_shade(_: usize) -> Ratio {
         Ratio::ZERO
+    }
+
+    /// The straightforward per-cell loop: every cell runs the full cell
+    /// model. `charging_current` must match it bit for bit.
+    fn per_cell_charging_current(
+        array: &HarvestingArray,
+        lux: Lux,
+        v_cap: Volts,
+        shading: impl Fn(usize) -> Ratio,
+    ) -> Amps {
+        let mut raw = Power::ZERO;
+        for (i, &role) in array.layout.roles.iter().enumerate() {
+            if role == CellRole::Sensing && array.mode == HarvestMode::Sensing {
+                continue;
+            }
+            let s = shading(i).clamp01();
+            let mut p = array.layout.cell.mpp_power(lux, s);
+            if role == CellRole::EventDetection {
+                let isc = array.layout.cell.short_circuit_current(lux, s);
+                p = (p - isc * array.blocking_diode.forward_drop).max(Power::ZERO);
+            }
+            raw += p;
+        }
+        let out = array.harvester.output(raw);
+        let v = v_cap.as_volts().max(0.5);
+        Amps::new(out.as_watts() / v)
+    }
+
+    /// One of four per-cell shading patterns over the 25 cells: 0 = all
+    /// equal, 1 = all distinct, 2 = runs of equal values, 3 = `0.0` and
+    /// `-0.0` side by side. Values may fall outside `[0, 1]` so the clamp
+    /// is exercised too.
+    fn shading_pattern(
+        pattern: usize,
+        values: &[f64],
+        run_lens: &[usize],
+        signs: &[u8],
+    ) -> Vec<f64> {
+        match pattern {
+            0 => vec![values[0]; 25],
+            1 => values.to_vec(),
+            2 => values
+                .iter()
+                .zip(run_lens)
+                .flat_map(|(&v, &n)| std::iter::repeat(v).take(n))
+                .take(25)
+                .collect(),
+            _ => signs
+                .iter()
+                .map(|&b| if b == 0 { 0.0 } else { -0.0 })
+                .collect(),
+        }
     }
 
     #[test]
@@ -360,6 +430,29 @@ mod tests {
             let i2 = array.charging_current(Lux::new(lux * 1.2), Volts::new(v), no_shade);
             prop_assert!(i1.as_amps() >= 0.0);
             prop_assert!(i2 >= i1);
+        }
+
+        #[test]
+        fn charging_current_is_bit_identical_to_the_per_cell_loop(
+            lux in 0.0f64..=2000.0,
+            v_cap in 0.0f64..=5.5,
+            sensing in 0u8..2,
+            pattern in 0usize..4,
+            values in collection::vec(-0.25f64..1.25, 25),
+            run_lens in collection::vec(1usize..7, 25),
+            signs in collection::vec(0u8..2, 25),
+        ) {
+            let mut array = HarvestingArray::new();
+            if sensing == 1 {
+                array.set_mode(HarvestMode::Sensing);
+            }
+            let shade = shading_pattern(pattern, &values, &run_lens, &signs);
+            prop_assert_eq!(shade.len(), 25);
+            let shading = |i: usize| Ratio::new(shade[i]);
+            let (lux, v_cap) = (Lux::new(lux), Volts::new(v_cap));
+            let fast = array.charging_current(lux, v_cap, shading);
+            let reference = per_cell_charging_current(&array, lux, v_cap, shading);
+            prop_assert_eq!(fast.as_amps().to_bits(), reference.as_amps().to_bits());
         }
 
         #[test]

@@ -36,6 +36,7 @@
 //! cloud layer actually changed.
 
 use std::fmt;
+use std::sync::Arc;
 
 pub mod ast;
 mod eval;
@@ -80,11 +81,14 @@ impl std::error::Error for ScenarioError {}
 /// Equality compares the AST (and therefore evaluation behavior), not the
 /// source text or the registry name: two scripts that differ only in
 /// whitespace or comments are the same scenario.
+///
+/// Clones share the parsed program (a refcount bump, not a deep copy of
+/// the AST), so every campaign config can carry its scenario cheaply.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    name: Option<String>,
-    description: Option<String>,
-    ast: Call,
+    name: Option<Arc<str>>,
+    description: Option<Arc<str>>,
+    ast: Arc<Call>,
 }
 
 impl PartialEq for Scenario {
@@ -103,9 +107,9 @@ impl Scenario {
         let ast = parser::parse(&tokens)?;
         sig::check(&ast)?;
         Ok(Self {
-            name,
-            description,
-            ast,
+            name: name.map(Arc::from),
+            description: description.map(Arc::from),
+            ast: Arc::new(ast),
         })
     }
 
@@ -194,6 +198,15 @@ mod tests {
             .expect("parses");
         assert_eq!(sc.name(), Some("polar_winter"));
         assert_eq!(sc.description(), Some("No sun for weeks."));
+    }
+
+    #[test]
+    fn clones_share_the_parsed_program() {
+        let a = Scenario::parse("# office: Desk.\noffice(peak: 800 lux)").expect("parses");
+        let b = a.clone();
+        assert!(std::ptr::eq(a.ast(), b.ast()));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert!(format!("{a:?}").contains("name: Some(\"office\")"));
     }
 
     #[test]

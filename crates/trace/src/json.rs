@@ -134,9 +134,14 @@ impl JsonObject {
     }
 
     /// Renders the object at the root indent level. No trailing newline.
+    ///
+    /// The string carries no spare capacity: campaign loops keep one
+    /// rendered report per campaign, and a report just over a power of two
+    /// would otherwise hold twice its length.
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(1024);
         self.render_into(&mut out, 0);
+        out.shrink_to_fit();
         out
     }
 
@@ -206,6 +211,18 @@ mod tests {
     #[test]
     fn empty_object_renders_braces() {
         assert_eq!(JsonObject::new().render(), "{}");
+    }
+
+    #[test]
+    fn rendered_string_has_no_spare_capacity() {
+        // Longer than the initial 1024-byte buffer, so it grew once.
+        let mut obj = JsonObject::new();
+        for i in 0..80 {
+            obj.count(&format!("field_{i}"), i);
+        }
+        let out = obj.render();
+        assert!(out.len() > 1024);
+        assert_eq!(out.capacity(), out.len());
     }
 
     #[test]
